@@ -8,112 +8,21 @@ verification of its structure, and provides search utilities for finding
 tournaments that separate one solution concept from another.
 """
 
-from .core import (
-    Tournament,
-    chain_insertion_point,
-    is_automorphism,
-    is_transitive_subset,
-    iter_bits,
-    maximal_transitive_subsets,
-)
-from .games import equilibrium_slacks, solve_symmetric_zero_sum, verify_equilibrium
-from .io import (
-    InvariantError,
-    ParseError,
-    export_dot,
-    format_tournament,
-    parse_tournament,
-    read_tournament,
-    write_tournament,
-)
-from .search import (
-    ScanConfig,
-    ScanOutcome,
-    ScanWitness,
-    automorphism_count,
-    canonical_form,
-    derive_seed,
-    enumerate_labeled,
-    isomorphism_class_representatives,
-    random_tournament,
-    scan_separation,
-)
-from .solutions import (
-    banks_member,
-    banks_set,
-    banks_witness,
-    bipartisan_set,
-    copeland_set,
-    top_cycle,
-    uncovered_set,
-)
-from .t36 import (
-    CENTER,
-    CheckResult,
-    VerificationReport,
-    build_t36,
-    build_t36_variant,
-    classify,
-    orbits,
-    random_orientations,
-    rotation,
-    symmetry_generators,
-    twist,
-    verify_t36,
-    vertex_coords,
-    vertex_id,
-    vertex_label,
-)
+from . import core, games, io, search, solutions, t36
+from .core import *  # noqa: F403
+from .games import *  # noqa: F403
+from .io import *  # noqa: F403
+from .search import *  # noqa: F403
+from .solutions import *  # noqa: F403
+from .t36 import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tournament",
-    "iter_bits",
-    "is_automorphism",
-    "is_transitive_subset",
-    "chain_insertion_point",
-    "maximal_transitive_subsets",
-    "solve_symmetric_zero_sum",
-    "equilibrium_slacks",
-    "verify_equilibrium",
-    "copeland_set",
-    "top_cycle",
-    "uncovered_set",
-    "banks_witness",
-    "banks_member",
-    "banks_set",
-    "bipartisan_set",
-    "CENTER",
-    "build_t36",
-    "build_t36_variant",
-    "random_orientations",
-    "rotation",
-    "twist",
-    "symmetry_generators",
-    "orbits",
-    "classify",
-    "vertex_id",
-    "vertex_coords",
-    "vertex_label",
-    "verify_t36",
-    "CheckResult",
-    "VerificationReport",
-    "ParseError",
-    "InvariantError",
-    "parse_tournament",
-    "format_tournament",
-    "read_tournament",
-    "write_tournament",
-    "export_dot",
-    "random_tournament",
-    "derive_seed",
-    "enumerate_labeled",
-    "canonical_form",
-    "automorphism_count",
-    "isomorphism_class_representatives",
-    "ScanConfig",
-    "ScanWitness",
-    "ScanOutcome",
-    "scan_separation",
+    *core.__all__,
+    *games.__all__,
+    *io.__all__,
+    *search.__all__,
+    *solutions.__all__,
+    *t36.__all__,
 ]

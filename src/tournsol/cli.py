@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success (and on a passing verification or a witness-free
 scan), 1 when a verification fails or a scan finds a separation witness,
-2 on usage errors and malformed input files.
+2 on usage errors, malformed input files and unreadable paths.
 """
 
 from __future__ import annotations
@@ -12,16 +12,9 @@ import json
 import sys
 
 from . import t36
-from .io import InvariantError, ParseError, export_dot, parse_tournament, read_tournament
-from .search import ScanConfig, scan_separation
-from .solutions import (
-    banks_set,
-    banks_witness,
-    bipartisan_set,
-    copeland_set,
-    top_cycle,
-    uncovered_set,
-)
+from .io import export_dot, parse_tournament, read_tournament
+from .search import RULES, ScanConfig, scan_separation
+from .solutions import banks_witness, bipartisan_set
 
 __all__ = ["main"]
 
@@ -47,8 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="apply a solution concept")
     solve.add_argument("file", nargs="?", default="-",
                        help="tournament file, '-' or omitted for stdin")
-    solve.add_argument("--rule", required=True,
-                       choices=["copeland", "tc", "uc", "banks", "bp"])
+    solve.add_argument("--rule", required=True, choices=list(RULES))
     solve.add_argument("--witness", action="store_true",
                        help="with --rule banks: print a chain witness per member")
 
@@ -131,19 +123,14 @@ def _cmd_solve(args) -> int:
             else:
                 print(_render(v, labeled))
         return 0
-    rule = {"copeland": copeland_set, "tc": top_cycle, "uc": uncovered_set}[args.rule]
-    for v in sorted(rule(t)):
+    for v in sorted(RULES[args.rule](t)):
         print(_render(v, labeled))
     return 0
 
 
 def _cmd_verify(args) -> int:
     t = _read(args.file) if args.file is not None else t36.build_t36()
-    try:
-        report = t36.verify_t36(t)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = t36.verify_t36(t)
     for check in report.checks:
         if check.status == "skipped":
             print(f"SKIP {check.name} ({check.details.get('reason', '')})")
@@ -235,13 +222,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except (ParseError, InvariantError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # ParseError and InvariantError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -47,7 +47,7 @@ def parse_tournament(text: str) -> Tournament:
         )
     lines = text.split("\n")[:-1]
     header = lines[0]
-    if not header.isdigit():
+    if not (header.isascii() and header.isdigit()):
         raise ParseError(f"order must be a decimal integer, got {header!r}", 1, 1)
     n = int(header)
     if n < 1:
@@ -88,7 +88,9 @@ def format_tournament(t: Tournament) -> str:
 
 
 def read_tournament(path: str | os.PathLike) -> Tournament:
-    with open(path, "r", encoding="ascii", newline="") as fh:
+    # latin-1 maps each byte to one character, so a stray non-ASCII byte
+    # reaches the parser and is reported with its line and column.
+    with open(path, "r", encoding="latin-1", newline="") as fh:
         return parse_tournament(fh.read())
 
 

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_EXHAUSTIVE_CAP = 8  # highest order an exhaustive scan accepts
 
 
 def splitmix64(z: int) -> int:
@@ -200,27 +201,51 @@ def _extensions(t: Tournament):
         yield Tournament._from_masks(n + 1, rows)
 
 
+def _certified_class_walk(max_order: int, cap: int):
+    """Yield ``(order, reps, covered)`` for orders 1..max_order.
+
+    ``reps`` holds one representative per isomorphism class of the order,
+    sorted by canonical form.  Order n is built by extending the
+    representatives of order n-1 by one alternative in every possible way
+    and deduplicating by canonical form; every class of order n contains
+    an extension of some class of order n-1 (delete the last
+    alternative), so the walk is exhaustive.  Each order is certified:
+    the orbit sizes n!/|Aut| of its representatives must add up to
+    ``covered`` = 2**C(n, 2), which proves every labelled tournament is
+    accounted for exactly once.
+    """
+    reps = [Tournament._from_masks(1, [0])]
+    for order in range(1, max_order + 1):
+        if order > 1:
+            seen: dict[bytes, Tournament] = {}
+            for r in reps:
+                for ext in _extensions(r):
+                    key = canonical_form(ext, cap=cap)
+                    if key not in seen:
+                        seen[key] = ext
+            reps = [seen[key] for key in sorted(seen)]
+        covered = sum(factorial(order) // automorphism_count(r) for r in reps)
+        expected = 1 << (order * (order - 1) // 2)
+        if covered != expected:
+            raise RuntimeError(
+                f"class representatives of order {order} cover {covered} labelled "
+                f"tournaments, expected {expected}"
+            )
+        yield order, reps, covered
+
+
 def isomorphism_class_representatives(n: int, cap: int = 9) -> list[Tournament]:
     """One representative per isomorphism class of order-n tournaments.
 
-    Built by extending the representatives of order n-1 by one alternative
-    in every possible way and deduplicating by canonical form.  Every
-    class of order n contains an extension of some class of order n-1
-    (delete the last alternative), so the walk is exhaustive.
+    The classes come from the certified walk that exhaustive scans use,
+    in the same order, sorted by canonical form.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
     if n > cap:
         raise ValueError(f"order {n} above canonicalisation cap {cap}")
-    reps = [Tournament._from_masks(1, [0])]
-    for _ in range(n - 1):
-        seen: dict[bytes, Tournament] = {}
-        for r in reps:
-            for ext in _extensions(r):
-                key = canonical_form(ext, cap=cap)
-                if key not in seen:
-                    seen[key] = ext
-        reps = [seen[key] for key in sorted(seen)]
+    for _, reps, _ in _certified_class_walk(n, cap):
+        pass
     return reps
 
 
@@ -231,32 +256,20 @@ def _bipartisan_support(t: Tournament) -> frozenset[int]:
 RULES = {
     "copeland": copeland_set,
     "tc": top_cycle,
-    "top_cycle": top_cycle,
     "uc": uncovered_set,
-    "uncovered": uncovered_set,
     "banks": banks_set,
     "bp": _bipartisan_support,
-    "bipartisan": _bipartisan_support,
 }
 
-_CANONICAL_RULE_NAME = {
-    "copeland": "copeland",
-    "tc": "tc",
-    "top_cycle": "tc",
-    "uc": "uc",
-    "uncovered": "uc",
-    "banks": "banks",
-    "bp": "bp",
-    "bipartisan": "bp",
-}
+_ALIASES = {"top_cycle": "tc", "uncovered": "uc", "bipartisan": "bp"}
 
 
 def resolve_rule(name: str):
     try:
-        return RULES[_CANONICAL_RULE_NAME[name]]
+        return RULES[_ALIASES.get(name, name)]
     except KeyError:
         raise ValueError(f"unknown rule {name!r}; choose from "
-                         "copeland, tc, uc, banks, bp") from None
+                         f"{', '.join(RULES)}") from None
 
 
 def check_disjoint(t: Tournament, rule_a: str, rule_b: str) -> bool:
@@ -280,7 +293,6 @@ class ScanConfig:
     mode: str = "exhaustive"
     sample_count: int = 0
     seed: int = 0
-    exhaustive_cap: int = 8
 
     def __post_init__(self) -> None:
         if len(self.rules) != 2:
@@ -291,9 +303,9 @@ class ScanConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.max_order < 1:
             raise ValueError("max_order must be at least 1")
-        if self.mode == "exhaustive" and self.max_order > self.exhaustive_cap:
+        if self.mode == "exhaustive" and self.max_order > _EXHAUSTIVE_CAP:
             raise ValueError(
-                f"exhaustive scan above order {self.exhaustive_cap} not supported"
+                f"exhaustive scan above order {_EXHAUSTIVE_CAP} not supported"
             )
         if self.mode == "random" and self.sample_count < 1:
             raise ValueError("random mode needs sample_count >= 1")
@@ -356,23 +368,7 @@ def scan_separation(config: ScanConfig) -> ScanOutcome:
         )
 
     labeled_counts: dict[int, int] = {}
-    reps = [Tournament._from_masks(1, [0])]
-    for order in range(1, config.max_order + 1):
-        if order > 1:
-            seen: dict[bytes, Tournament] = {}
-            for r in reps:
-                for ext in _extensions(r):
-                    key = canonical_form(ext, cap=config.exhaustive_cap)
-                    if key not in seen:
-                        seen[key] = ext
-            reps = [seen[key] for key in sorted(seen)]
-        covered = sum(factorial(order) // automorphism_count(r) for r in reps)
-        expected = 1 << (order * (order - 1) // 2)
-        if covered != expected:
-            raise RuntimeError(
-                f"class representatives of order {order} cover {covered} labelled "
-                f"tournaments, expected {expected}"
-            )
+    for order, reps, covered in _certified_class_walk(config.max_order, _EXHAUSTIVE_CAP):
         labeled_counts[order] = covered
         examined[order] = len(reps)
         for r in reps:

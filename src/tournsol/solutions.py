@@ -123,12 +123,10 @@ def banks_witness(t: Tournament, x: int) -> tuple[int, ...] | None:
 
     if search(t.dominators_mask(x), 0):
         witness = tuple(chain)
-        mask = 0
         for i, b in enumerate(witness):
             assert dominion >> b & 1, "witness leaves the dominion"
             for lower in witness[i + 1:]:
                 assert t.dominates(b, lower), "witness chain out of order"
-            mask |= 1 << b
         common = t.dominators_mask(x)
         for b in witness:
             common &= t.dominators_mask(b)

@@ -123,6 +123,45 @@ def test_solve_missing_file(capsys):
     assert err
 
 
+def test_directory_paths_are_usage_errors(tmp_path, capsys):
+    code, out, err = run(capsys, "solve", str(tmp_path), "--rule", "copeland")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    code, out, err = run(capsys, "gen", "random", "--n", "5", "--seed", "1",
+                         "-o", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_solve_rule_choices_are_the_rule_table(tmp_path, capsys):
+    from tournsol.search import RULES
+
+    code, text, _ = run(capsys, "solve", "--help")
+    assert code == 0
+    assert "{" + ",".join(RULES) + "}" in text
+    path = tmp_path / "r.txt"
+    write_tournament(random_tournament(5, 1), path)
+    for name in RULES:
+        assert run(capsys, "solve", str(path), "--rule", name)[0] == 0
+
+
+@pytest.mark.parametrize("alias, short", [
+    ("top_cycle", "tc"), ("uncovered", "uc"), ("bipartisan", "bp"),
+])
+def test_long_aliases_resolve_to_the_short_rule(monkeypatch, capsys, alias, short):
+    import tournsol.search as search_mod
+
+    def empty(t):
+        return frozenset()
+
+    monkeypatch.setitem(search_mod.RULES, short, empty)
+    assert search_mod.resolve_rule(alias) is empty
+    code, text, _ = run(capsys, "scan", "--rules", f"{alias},{short}",
+                        "--max-order", "1", "--mode", "exhaustive")
+    assert code == 1
+    assert f"witness (order 1): {alias}=[] disjoint from {short}=[]" in text
+
+
 def test_verify_paper_default_build(capsys):
     code, text, _ = run(capsys, "verify-paper")
     assert code == 0
@@ -184,7 +223,6 @@ def test_scan_witness_exits_one(monkeypatch, capsys):
         return frozenset({min(range(t.order), key=lambda v: (t.copeland_score(v), v))})
 
     monkeypatch.setitem(search_mod.RULES, "bottom", bottom)
-    monkeypatch.setitem(search_mod._CANONICAL_RULE_NAME, "bottom", "bottom")
     code, text, _ = run(capsys, "scan", "--rules", "copeland,bottom",
                         "--max-order", "3", "--mode", "exhaustive")
     assert code == 1

@@ -57,6 +57,20 @@ def test_parse_error_positions():
         assert f"line {line}, column {col}" in str(err.value)
 
 
+def test_parse_rejects_non_ascii_digits_in_header():
+    with pytest.raises(ParseError) as err:
+        parse_tournament("\u00b2\n0\n")  # superscript two passes str.isdigit
+    assert (err.value.line, err.value.column) == (1, 1)
+
+
+def test_read_reports_non_ascii_bytes_by_position(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"3\n01\xe9\n001\n100\n")
+    with pytest.raises(ParseError) as err:
+        read_tournament(path)
+    assert (err.value.line, err.value.column) == (2, 3)
+
+
 def test_parse_rejects_broken_relations():
     with pytest.raises(InvariantError):
         parse_tournament("2\n10\n00\n")  # self-dominance

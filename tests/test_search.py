@@ -104,6 +104,31 @@ def test_representatives_cover_all_labeled_tournaments():
         assert total == 2 ** (n * (n - 1) // 2)
 
 
+def test_representatives_are_the_classes_the_scan_examines(monkeypatch):
+    import tournsol.search as search_mod
+
+    examined = []
+
+    def everything(t):
+        examined.append(t)
+        return frozenset(range(t.order))
+
+    monkeypatch.setitem(search_mod.RULES, "everything", everything)
+    scan_separation(ScanConfig(rules=("copeland", "everything"), max_order=6,
+                               mode="exhaustive"))
+    for n in range(1, 7):
+        assert [t for t in examined if t.order == n] == isomorphism_class_representatives(n)
+
+
+def test_representatives_check_the_orbit_count(monkeypatch):
+    import tournsol.search as search_mod
+
+    monkeypatch.setattr(search_mod, "automorphism_count", lambda t: 1)
+    isomorphism_class_representatives(2)  # no nontrivial automorphism up to order 2
+    with pytest.raises(RuntimeError, match="order 3"):
+        isomorphism_class_representatives(3)
+
+
 def test_resolve_rule_aliases():
     assert resolve_rule("tc") is resolve_rule("top_cycle")
     assert resolve_rule("uc") is resolve_rule("uncovered")
@@ -161,7 +186,6 @@ def test_scan_witness_round_trip_on_artificial_rules(monkeypatch):
         return frozenset({min(range(t.order), key=lambda v: (t.copeland_score(v), v))})
 
     monkeypatch.setitem(search_mod.RULES, "bottom", bottom)
-    monkeypatch.setitem(search_mod._CANONICAL_RULE_NAME, "bottom", "bottom")
     config = ScanConfig(rules=("copeland", "bottom"), max_order=2, mode="exhaustive")
     outcome = scan_separation(config)
     assert outcome.witnesses, "order-2 chain separates best from worst"
