@@ -70,7 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read(path: str):
     if path == "-":
-        return parse_tournament(sys.stdin.read())
+        # Decoded like a file in io.read_tournament, so a stray byte is
+        # reported the same way on both paths.
+        return parse_tournament(sys.stdin.buffer.read().decode("latin-1"))
     return read_tournament(path)
 
 

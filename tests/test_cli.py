@@ -11,6 +11,10 @@ from tournsol.cli import main
 NINTH_LINES = [f"v0_{j}_{k} {3 * (j - 1) + (k - 1)} p=1/9" for j in (1, 2, 3) for k in (1, 2, 3)]
 
 
+def stdin_bytes(data: bytes) -> io.TextIOWrapper:
+    return io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -57,10 +61,22 @@ def test_solve_bp_on_paper36(tmp_path, capsys):
 def test_solve_reads_stdin(monkeypatch, capsys):
     from tournsol import format_tournament
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(format_tournament(build_t36())))
+    monkeypatch.setattr("sys.stdin", stdin_bytes(format_tournament(build_t36()).encode("ascii")))
     code, text, _ = run(capsys, "solve", "--rule", "copeland")
     assert code == 0
     assert len(text.splitlines()) == 9
+
+
+def test_stdin_and_file_report_a_stray_byte_alike(tmp_path, monkeypatch, capsys):
+    data = b"3\n01\xe9\n001\n100\n"
+    path = tmp_path / "t.txt"
+    path.write_bytes(data)
+    file_code, _, file_err = run(capsys, "solve", str(path), "--rule", "copeland")
+    monkeypatch.setattr("sys.stdin", stdin_bytes(data))
+    stdin_code, _, stdin_err = run(capsys, "solve", "--rule", "copeland")
+    assert file_code == stdin_code == 2
+    assert "line 2, column 3: invalid character 'é'" in stdin_err
+    assert stdin_err == file_err
 
 
 def test_solve_plain_ids_on_unlabeled_input(tmp_path, capsys):

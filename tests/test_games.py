@@ -5,7 +5,11 @@ from fractions import Fraction
 import pytest
 
 from tournsol import (
+    build_t36,
+    build_t36_variant,
     equilibrium_slacks,
+    games,
+    random_orientations,
     random_tournament,
     solve_symmetric_zero_sum,
     verify_equilibrium,
@@ -126,3 +130,118 @@ def test_verify_equilibrium_rejects_bad_lotteries():
     assert not verify_equilibrium(m, (Fraction(1), Fraction(0), Fraction(0)))
     assert not verify_equilibrium(m, (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)))
     assert not verify_equilibrium(m, (Fraction(3, 2), Fraction(-1, 2), Fraction(0)))
+
+
+# The exact Bland simplex is the reference path; the certified guess must
+# reproduce it tuple for tuple.
+
+
+_REFERENCE_PATH = games._bland
+
+
+def reference(matrix):
+    return _REFERENCE_PATH(games._as_skew_matrix(matrix))
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Orders of the solves that reached the reference path."""
+    calls = []
+
+    def counting(m):
+        calls.append(len(m))
+        return _REFERENCE_PATH(m)
+
+    monkeypatch.setattr(games, "_bland", counting)
+    return calls
+
+
+@pytest.fixture
+def no_fallback(monkeypatch):
+    def refuse(m):
+        raise AssertionError(f"order-{len(m)} solve fell back to the exact simplex")
+
+    monkeypatch.setattr(games, "_bland", refuse)
+
+
+def t36_family():
+    return [build_t36()] + [build_t36_variant(random_orientations(seed)) for seed in (1, 2, 3)]
+
+
+# Every order up to 28, then 40; the reference takes about 10 s at 40.
+@pytest.mark.parametrize("n", [*range(1, 29), 40])
+def test_matches_reference_path_on_random_tournaments(n):
+    m = random_tournament(n, 4200 + n).skew_adjacency()
+    assert solve_symmetric_zero_sum(m) == reference(m)
+
+
+def test_matches_reference_path_on_the_order_36_build_and_variants():
+    for t in t36_family():
+        m = t.skew_adjacency()
+        assert solve_symmetric_zero_sum(m) == reference(m)
+
+
+def wrong_guesses(n, support):
+    yield []
+    for x in range(n):
+        yield sorted(set(support) ^ {x})
+
+
+def test_wrong_or_empty_guess_falls_back_to_the_reference(monkeypatch, fallbacks):
+    solves = 0
+    for n in (1, 2, 5, 8, 11):
+        m = random_tournament(n, 600 + n).skew_adjacency()
+        expected = reference(m)
+        support = [x for x in range(n) if expected[x] > 0]
+        for guess in wrong_guesses(n, support):
+            monkeypatch.setattr(games, "_guess_support", lambda m, guess=guess: guess)
+            assert solve_symmetric_zero_sum(m) == expected
+            solves += 1
+    assert len(fallbacks) == solves
+
+
+def test_pivot_cap_sends_the_guess_to_the_fallback(monkeypatch, fallbacks):
+    monkeypatch.setattr(games, "_GUESS_PIVOTS_PER_STRATEGY", 0)
+    m = random_tournament(9, 31).skew_adjacency()
+    assert games._guess_support(games._as_skew_matrix(m)) == []
+    assert solve_symmetric_zero_sum(m) == reference(m)
+    assert fallbacks == [9]
+
+
+def test_many_optima_fail_the_uniqueness_certificate(fallbacks):
+    # every lottery is optimal in a zero game; the float guess names a
+    # support whose system is solvable, but the slacks off it are zero
+    assert solve_symmetric_zero_sum([[0, 0], [0, 0]]) == (Fraction(1), Fraction(0))
+    assert solve_symmetric_zero_sum([[0] * 3] * 3) == (Fraction(1), Fraction(0), Fraction(0))
+    assert fallbacks == [2, 3]
+
+
+def test_a_zero_weight_on_the_guess_fails_the_certificate(monkeypatch, fallbacks):
+    # On {0, 1, 2} the support system has full rank and solves to
+    # (1/2, 1/2, 0), an optimal lottery with slack 1 off the guess; but
+    # strategy 2 has weight 0 and slack 0, and pure strategy 0 is optimal too.
+    m = [[0, 0, 1, 1], [0, 0, -1, 1], [-1, 1, 0, 0], [-1, -1, 0, 0]]
+    half = Fraction(1, 2)
+    assert verify_equilibrium(m, (half, half, 0, 0))
+    monkeypatch.setattr(games, "_guess_support", lambda m: [0, 1, 2])
+    assert solve_symmetric_zero_sum(m) == reference(m) == (1, 0, 0, 0)
+    assert fallbacks == [4]
+
+
+def test_orders_10_to_24_are_decided_by_the_certified_guess(no_fallback):
+    for n in range(10, 25):
+        for seed in range(3):
+            m = random_tournament(n, 8000 + 10 * n + seed).skew_adjacency()
+            assert verify_equilibrium(m, solve_symmetric_zero_sum(m))
+    for t in t36_family():
+        solve_symmetric_zero_sum(t.skew_adjacency())
+
+
+# Under an absolute pivot tolerance of 1e-9, the float pass on the first
+# input pivoted on rounding noise, the tableau blew up to about 1e14 and the
+# pass ended with the artificial variable still basic: an empty support.
+# The second input defeated an absolute tolerance of 1e-7 the same way.
+@pytest.mark.parametrize("n, seed", [(30, 9), (44, 220003)])
+def test_float_guess_survives_rounding_noise(n, seed, fallbacks):
+    solve_symmetric_zero_sum(random_tournament(n, seed).skew_adjacency())
+    assert fallbacks == []
