@@ -103,90 +103,101 @@ def canonical_form(t: Tournament, cap: int = 9) -> bytes:
     """Lexicographically smallest row-major matrix encoding over relabellings.
 
     Two tournaments are isomorphic iff their canonical forms are equal.
-    Branch and bound over vertex orderings: the first vertex must have
-    minimum dominion (its row then starts with all its dominators), and a
-    partial ordering is abandoned when even the optimistic completion of
-    its determined cells exceeds the best encoding found so far.
+    The encoding of a vertex ordering is the n*n string of cells
+    "order[i] dominates order[j]", row by row, in ASCII '0'/'1'.
+
+    Orderings are built position by position.  The unplaced vertices
+    fall into classes by their column against the placed prefix (bit i:
+    ``order[i]`` dominates v), and the classes are kept in increasing
+    column order.  Two facts prune the search:
+
+    - Only a vertex of the first class may come next: if a vertex with a
+      larger column came next, swapping it with a first-class vertex
+      would keep every earlier row and lower the first row where their
+      columns differ.
+    - Hence the rest of the ordering follows the classes, and a placed
+      row is complete as soon as its vertex is placed: against each
+      class in turn it reads a run of 0s (members dominating the vertex,
+      which come first) then a run of 1s.  The earlier rows are the same
+      for every first-class vertex, so only those whose row is smallest
+      may come next.
+
+    Only vertices with equal rows branch, and a branch is cut once its
+    rows exceed those of the best encoding found so far.  The encoding
+    is held as an int and written out once at the end.
     """
     n = t.order
     if n > cap:
         raise ValueError(f"order {n} above canonicalisation cap {cap}")
-    if n == 1:
-        return b"0"
-    zero = ord("0")
-    one = ord("1")
-    delta = min(t.copeland_scores())
-    starts = [v for v in range(n) if t.copeland_score(v) == delta]
-    split = n - 1 - delta  # positions 1..split hold dominators of the first vertex
-    best: bytes | None = None
-    order = [0] * n
+    rows = t.row_masks
+    best = 1 << n * n  # above every encoding
 
-    def descend(pos: int, remaining_dominators: list[int], remaining_dominion: list[int], grid: bytearray) -> None:
+    def descend(pos: int, enc: int, cells: list[tuple[int, int]]) -> None:
+        # cells: the classes in column order as (members, bits), bits
+        # being the members' shared row against the placed vertices
         nonlocal best
-        if pos == n:
-            cand = bytes(grid)
-            if best is None or cand < best:
-                best = cand
+        if not cells:
+            best = enc
             return
-        pool = remaining_dominators if pos <= split else remaining_dominion
-        for idx, v in enumerate(pool):
-            order[pos] = v
-            patch = []
-            for j in range(pos):
-                u = order[j]
-                a = pos * n + j
-                b = j * n + pos
-                if t.dominates(v, u):
-                    patch.append(a)
-                    grid[a] = one
-                else:
-                    patch.append(b)
-                    grid[b] = one
-            if best is None or bytes(grid) <= best:
-                rest = pool[:idx] + pool[idx + 1 :]
-                if pos <= split:
-                    descend(pos + 1, rest, remaining_dominion, grid)
-                else:
-                    descend(pos + 1, remaining_dominators, rest, grid)
-            for a in patch:
-                grid[a] = zero
+        first, first_bits = cells[0]
+        least, ties = None, []
+        for v in range(n):
+            if first >> v & 1:
+                row, others = 0, ~(1 << v)
+                for members, _ in cells:
+                    members &= others
+                    wins = (rows[v] & members).bit_count()
+                    row = row << members.bit_count() | ((1 << wins) - 1)
+                if least is None or row < least:
+                    least, ties = row, [v]
+                elif row == least:
+                    ties.append(v)
+        enc = enc << n | first_bits << (n - pos) | least
+        if enc > best >> n * (n - pos - 1):
+            return
+        for v in ties:
+            split = []
+            for members, bits in cells:
+                members &= ~(1 << v)
+                beaten = members & rows[v]
+                if members != beaten:
+                    split.append((members ^ beaten, bits << 1 | 1))
+                if beaten:
+                    split.append((beaten, bits << 1))
+            descend(pos + 1, enc, split)
 
-    for v0 in starts:
-        order[0] = v0
-        doms = sorted(iter_bits(t.dominators_mask(v0)))
-        dom = sorted(iter_bits(t.dominion_mask(v0)))
-        descend(1, doms, dom, bytearray(b"0" * (n * n)))
-    assert best is not None
-    return best
+    descend(0, 0, [((1 << n) - 1, 0)])
+    return format(best, f"0{n * n}b").encode("ascii")
 
 
 def automorphism_count(t: Tournament) -> int:
-    """Number of relabellings mapping the tournament onto itself."""
+    """Number of relabellings mapping the tournament onto itself.
+
+    Maps 0, 1, ... in turn.  Vertex k may go to an unused vertex c of
+    the same score whose dominators among the images of 0..k-1 are the
+    images of k's dominators among 0..k-1, kept per candidate as a mask
+    over source labels.  Deliberately independent of ``canonical_form``,
+    so that the orbit-count certificate checks the labelling.
+    """
     n = t.order
-    scores = t.copeland_scores()
-    count = 0
+    rows = t.row_masks
+    scores = [r.bit_count() for r in rows]
+    # beaten_by[k]: the j < k that dominate k, as a mask
+    beaten_by = [t.dominators_mask(k) & ((1 << k) - 1) for k in range(n)]
 
-    def extend(img: list[int], used: int) -> None:
-        nonlocal count
-        k = len(img)
+    def extend(k: int, free: int, marks: list[int]) -> int:
+        # marks[c]: the j < k whose image dominates c, as a mask
         if k == n:
-            count += 1
-            return
-        for cand in range(n):
-            if used >> cand & 1 or scores[cand] != scores[k]:
-                continue
-            ok = True
-            for j in range(k):
-                if t.dominates(k, j) != t.dominates(cand, img[j]):
-                    ok = False
-                    break
-            if ok:
-                img.append(cand)
-                extend(img, used | 1 << cand)
-                img.pop()
+            return 1
+        total = 0
+        for c in range(n):
+            if free >> c & 1 and scores[c] == scores[k] and marks[c] == beaten_by[k]:
+                row = rows[c]
+                total += extend(k + 1, free & ~(1 << c),
+                                [m | (row >> d & 1) << k for d, m in enumerate(marks)])
+        return total
 
-    extend([], 0)
-    return count
+    return extend(0, (1 << n) - 1, [0] * n)
 
 
 def _extensions(t: Tournament):

@@ -3,13 +3,15 @@
 Everything here works straight from definitions, with no shared code
 paths: subsets are enumerated outright, transitivity is checked over all
 triples, the equilibrium lottery is found by solving exact linear
-systems over every odd support.  Deliberately slow, deliberately dumb.
+systems over every odd support, the canonical form is the minimum over
+every relabelling.  Deliberately slow, deliberately dumb.  Nothing but
+``Tournament`` is imported from the library.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from tournsol import Tournament
 
@@ -151,3 +153,16 @@ def oracle_bipartisan(t: Tournament) -> tuple[frozenset[int], tuple[Fraction, ..
                 hits.append((frozenset(combo), tuple(full)))
     assert len(hits) == 1, f"expected a unique equilibrium, got {len(hits)}"
     return hits[0]
+
+
+def oracle_canonical_form(t: Tournament) -> bytes:
+    """Smallest row-major '0'/'1' matrix encoding over all n! relabellings."""
+    n = t.order
+    return min(
+        "".join(
+            "1" if t.dominates(order[i], order[j]) else "0"
+            for i in range(n)
+            for j in range(n)
+        ).encode("ascii")
+        for order in permutations(range(n))
+    )

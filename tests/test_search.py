@@ -1,5 +1,6 @@
 """Seeded generation, canonical forms, and the separation scanner."""
 
+import hashlib
 import random
 
 import pytest
@@ -16,6 +17,8 @@ from tournsol import (
     scan_separation,
 )
 from tournsol.search import check_disjoint, resolve_rule, splitmix64
+
+from oracles import oracle_canonical_form
 
 # unlabeled tournament counts, a classical sequence
 CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56}
@@ -70,6 +73,34 @@ def test_canonical_form_separates_classes():
     for n in range(1, 6):
         forms = {canonical_form(t) for t in enumerate_labeled(n)}
         assert len(forms) == CLASS_COUNTS[n]
+
+
+def test_canonical_form_matches_the_oracle():
+    for n in range(1, 6):
+        for t in enumerate_labeled(n):
+            assert canonical_form(t) == oracle_canonical_form(t)
+    rng = random.Random(606)
+    for n in (6, 6, 6, 6, 7, 7):
+        t = random_tournament(n, rng.getrandbits(32))
+        assert canonical_form(t) == oracle_canonical_form(t)
+
+
+# sha256 of the forms joined by newlines, and the first 16 hex digits of
+# sha256 of repr of the representatives' row masks
+PINNED_CLASSES = {
+    6: ("12e7859aa69f1f91883f64cf63a1d0527ce55f7dd4d3bcbb30631dbdd52e012c", "42926a121ca1e589"),
+    7: ("29e6f43f638ed2646b74e6ec36a574c120873e624d98ad74d8a371bc27bcc8ce", "62c9ab47c45a177f"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_CLASSES))
+def test_canonical_forms_and_representatives_are_pinned(n):
+    forms_sha256, reps_prefix = PINNED_CLASSES[n]
+    reps = isomorphism_class_representatives(n)
+    forms = b"\n".join(canonical_form(r) for r in reps)
+    assert hashlib.sha256(forms).hexdigest() == forms_sha256
+    masks = repr([r.row_masks for r in reps]).encode()
+    assert hashlib.sha256(masks).hexdigest()[:16] == reps_prefix
 
 
 def test_canonical_form_cap():
