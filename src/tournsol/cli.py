@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (and on a passing verification or a witness-free
 scan), 1 when a verification fails or a scan finds a separation witness,
-2 on usage errors, malformed input files and unreadable paths.
+2 on usage errors, malformed input files, unreadable paths and orders
+too large to build.
 """
 
 from __future__ import annotations
@@ -224,7 +225,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except (ValueError, OSError) as exc:  # ParseError and InvariantError included
+    # ParseError and InvariantError are ValueErrors; an order too large to
+    # index a list raises OverflowError.
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

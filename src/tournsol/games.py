@@ -12,14 +12,17 @@ The solver guesses, solves, certifies and only then falls back:
 1. Guess.  A phase-1 simplex over floats proposes a support S.  Its pivot
    count is capped, and it only ever names candidate strategies.
 2. Solve.  The lottery on S is solved exactly from the k+1 equations
-   sum_{x in S} M[x][y] p_x = 0 (y in S) and sum(p) = 1 by Gauss-Jordan
-   elimination over ``fractions.Fraction``.
+   sum_{x in S} M[x][y] p_x = 0 (y in S) and sum(p) = 1 by fraction-free
+   Gauss-Jordan elimination over ``int`` (Bareiss), after a rational
+   matrix is scaled to integers by the lcm of its denominators.  It
+   yields integer numerators v and one positive common denominator D.
 3. Certify.  The lottery is returned only if that system has full rank,
-   every weight on S is positive, the strategy passes the exact check of
-   ``verify_equilibrium`` on the full matrix and every slack off S is
-   strictly positive.  Full rank and strict complementarity prove that
-   the optimal strategy is unique, so the certified lottery is the one
-   the exact simplex would return.
+   every weight on S is positive, the strategy passes the exact integer
+   check that ``verify_equilibrium`` also runs (sum(v) = D, v >= 0 and
+   every slack sum_x v_x M[x][y] >= 0) and every slack off S is strictly
+   positive.  Full rank and strict complementarity prove that the
+   optimal strategy is unique, so the certified lottery is the one the
+   exact simplex would return.
 4. Fallback.  Otherwise the same phase-1 simplex runs over
    ``fractions.Fraction`` with Bland's anti-cycling rule, and its answer
    is returned after the same exact check.
@@ -33,6 +36,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 __all__ = [
     "equilibrium_slacks",
@@ -41,7 +46,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # The float guess treats magnitudes up to this as zero, and stops after
 # this many pivots per strategy; either way it only proposes a support.
@@ -52,7 +56,12 @@ _GUESS_TOL = 1e-7
 _GUESS_PIVOTS_PER_STRATEGY = 500
 
 
-def _as_skew_matrix(matrix: Sequence[Sequence[object]]) -> list[list[Fraction]]:
+def _as_skew_matrix(matrix: Sequence[Sequence[object]]) -> list[list[int | Fraction]]:
+    """``matrix`` as rows of ``int`` and ``Fraction``, checked square and skew.
+
+    An ``int`` cell stays an ``int``, so a tournament matrix builds no
+    ``Fraction``; any other cell becomes a ``Fraction``.
+    """
     n = len(matrix)
     if n == 0:
         raise ValueError("empty payoff matrix")
@@ -60,7 +69,7 @@ def _as_skew_matrix(matrix: Sequence[Sequence[object]]) -> list[list[Fraction]]:
     for row in matrix:
         if len(row) != n:
             raise ValueError("payoff matrix is not square")
-        m.append([Fraction(cell) for cell in row])
+        m.append([cell if type(cell) is int else Fraction(cell) for cell in row])
     for x in range(n):
         for y in range(x, n):
             if m[x][y] != -m[y][x]:
@@ -81,7 +90,7 @@ def solve_symmetric_zero_sum(matrix: Sequence[Sequence[object]]) -> tuple[Fracti
 
 
 def _phase1(
-    m: list[list[Fraction]], number: type, tol: float, max_pivots: int | None
+    m: list[list[int | Fraction]], number: type, tol: float, max_pivots: int | None
 ) -> list | None:
     """Weights of a phase-1 simplex optimum over the type ``number``.
 
@@ -169,7 +178,7 @@ def _phase1(
     return weights
 
 
-def _bland(m: list[list[Fraction]]) -> tuple[Fraction, ...]:
+def _bland(m: list[list[int | Fraction]]) -> tuple[Fraction, ...]:
     """The reference path: the phase-1 simplex in exact arithmetic."""
     weights = _phase1(m, Fraction, 0, None)
     if weights is None:
@@ -180,7 +189,7 @@ def _bland(m: list[list[Fraction]]) -> tuple[Fraction, ...]:
     return result
 
 
-def _guess_support(m: list[list[Fraction]]) -> list[int]:
+def _guess_support(m: list[list[int | Fraction]]) -> list[int]:
     """Strategies a float phase-1 simplex weights above the tolerance.
 
     Empty when the float pass fails; the guess only names candidates.
@@ -192,21 +201,25 @@ def _guess_support(m: list[list[Fraction]]) -> list[int]:
     return [x for x in range(n) if weights[x] > _GUESS_TOL]
 
 
-def _certify(m: list[list[Fraction]], support: list[int]) -> tuple[Fraction, ...] | None:
+def _certify(m: list[list[int | Fraction]], support: list[int]) -> tuple[Fraction, ...] | None:
     """The unique optimal strategy, if its support is ``support``; else None.
 
     None means the support could not be certified, not that the game has
     no such strategy; the caller then runs the exact simplex.
     """
-    on_support = _support_lottery(m, support)
-    if on_support is None or any(w <= 0 for w in on_support):
+    a, _ = _integer_matrix(m)
+    solved = _support_lottery(a, support)
+    if solved is None:
         return None
-    weights = [_ZERO] * len(m)
-    for x, w in zip(support, on_support):
-        weights[x] = w
-    result = tuple(weights)
-    slacks = equilibrium_slacks(m, result)
-    if not _is_optimal(result, slacks):
+    on_support, d = solved
+    if any(w <= 0 for w in on_support):
+        return None
+    n = len(m)
+    v = [0] * n
+    for x, vx in zip(support, on_support):
+        v[x] = vx
+    slacks = _integer_slacks(a, v)
+    if not _is_optimal(v, d, slacks):
         return None
     # Strict complementarity: any optimal q has its support where these
     # slacks vanish, so inside ``support``, and then solves the same
@@ -214,35 +227,88 @@ def _certify(m: list[list[Fraction]], support: list[int]) -> tuple[Fraction, ...
     inside = set(support)
     if any(s <= 0 for y, s in enumerate(slacks) if y not in inside):
         return None
-    return result
+    weights = [_ZERO] * n
+    for x, vx in zip(support, on_support):
+        weights[x] = Fraction(vx, d)
+    return tuple(weights)
 
 
-def _support_lottery(m: list[list[Fraction]], support: list[int]) -> list[Fraction] | None:
-    """The p on ``support`` with sum_x M[x][y] p_x = 0 (y in it) and sum(p) = 1.
+def _integer_matrix(m: list[list[int | Fraction]]) -> tuple[list[list[int]], int]:
+    """``m`` times the lcm of its denominators, as ints, and that lcm.
 
-    Gauss-Jordan elimination over ``Fraction`` on the k+1 equations in k
-    unknowns.  None unless the system has rank k and is consistent, that
-    is, unless it has exactly one solution.
+    A positive scale keeps the optimal strategies and the sign of every
+    slack, so the integer matrix certifies the same lotteries.
+    """
+    if all(type(cell) is int for row in m for cell in row):
+        return m, 1  # type: ignore[return-value]
+    scale = lcm(*(cell.denominator for row in m for cell in row))
+    return [[cell.numerator * (scale // cell.denominator) for cell in row] for row in m], scale
+
+
+def _support_lottery(a: list[list[int]], support: list[int]) -> tuple[list[int], int] | None:
+    """The p on ``support`` with sum_x a[x][y] p_x = 0 (y in it) and sum(p) = 1.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) over ``int`` on the
+    k+1 equations in k unknowns: each row other than the pivot row becomes
+    (p * row - f * pivot_row) // prev, where p is the pivot, f the row's
+    entry in the pivot column and prev the previous pivot, and every
+    division is exact.  Returns the numerators of p and one positive
+    common denominator, or None unless the system has rank k and is
+    consistent, that is, unless it has exactly one solution.
     """
     k = len(support)
-    aug = [[m[x][y] for x in support] + [_ZERO] for y in support]
-    aug.append([_ONE] * (k + 1))
+    aug = [[a[x][y] for x in support] + [0] for y in support]
+    aug.append([1] * (k + 1))
+    prev = 1
     for c in range(k):
-        pivot = next((i for i in range(c, k + 1) if aug[i][c] != 0), None)
+        pivot = next((i for i in range(c, k + 1) if aug[i][c]), None)
         if pivot is None:
             return None
         aug[c], aug[pivot] = aug[pivot], aug[c]
         row = aug[c]
-        scale = row[c]
-        if scale != 1:
-            aug[c] = row = [v / scale for v in row]
+        p = row[c]
         for i in range(k + 1):
-            f = aug[i][c]
-            if i != c and f != 0:
-                aug[i] = [a - f * b for a, b in zip(aug[i], row)]
-    if aug[k][k] != 0:
+            if i != c:
+                f = aug[i][c]
+                aug[i] = [(p * u - f * w) // prev for u, w in zip(aug[i], row)]
+        prev = p
+    # Every pivot row now reads prev * p_c = aug[c][k].
+    if aug[k][k]:
         return None
-    return [aug[c][k] for c in range(k)]
+    if prev < 0:
+        return [-aug[c][k] for c in range(k)], -prev
+    return [aug[c][k] for c in range(k)], prev
+
+
+def _integer_slacks(a: list[list[int]], v: Sequence[int]) -> list[int]:
+    """Entry y is sum_x v[x] * a[x][y], computed as -sum_x a[y][x] * v[x].
+
+    The two sums agree because ``a`` is skew symmetric.
+    """
+    return [-sum(map(mul, row, v)) for row in a]
+
+
+def _is_optimal(v: Sequence[int], d: int, slacks: Sequence[int]) -> bool:
+    """The exact check of the lottery v / d, given its integer slacks."""
+    return sum(v) == d and all(x >= 0 for x in v) and all(s >= 0 for s in slacks)
+
+
+def _scaled(
+    matrix: Sequence[Sequence[object]], weights: Sequence[object]
+) -> tuple[list[int], int, list[int], int]:
+    """Integer weights v with denominator d, their slacks and the matrix scale.
+
+    The weights are v / d, and the slacks of ``weights`` on ``matrix`` are
+    the returned ints divided by scale * d.
+    """
+    m = _as_skew_matrix(matrix)
+    if len(weights) != len(m):
+        raise ValueError("weight vector length does not match the matrix")
+    a, scale = _integer_matrix(m)
+    w = [Fraction(x) for x in weights]
+    d = lcm(*(x.denominator for x in w))
+    v = [x.numerator * (d // x.denominator) for x in w]
+    return v, d, _integer_slacks(a, v), scale
 
 
 def equilibrium_slacks(
@@ -252,32 +318,20 @@ def equilibrium_slacks(
 
     Entry y is sum_x weights[x] * matrix[x][y]; at an equilibrium every
     entry is nonnegative and entries on the support are exactly zero.
+    Raises ValueError unless ``matrix`` is square and skew symmetric and
+    ``weights`` has one entry per row.
     """
-    n = len(matrix)
-    if len(weights) != n:
-        raise ValueError("weight vector length does not match the matrix")
-    out = []
-    for y in range(n):
-        acc = _ZERO
-        for x in range(n):
-            w = weights[x]
-            if w:
-                acc += w * Fraction(matrix[x][y])
-        out.append(acc)
-    return tuple(out)
-
-
-def _is_optimal(weights: Sequence[Fraction], slacks: Sequence[Fraction]) -> bool:
-    total = _ZERO
-    for w in weights:
-        if w < 0:
-            return False
-        total += w
-    return total == 1 and all(s >= 0 for s in slacks)
+    _, d, slacks, scale = _scaled(matrix, weights)
+    return tuple(Fraction(s, scale * d) for s in slacks)
 
 
 def verify_equilibrium(
     matrix: Sequence[Sequence[object]], weights: Sequence[Fraction]
 ) -> bool:
-    """Exact check that ``weights`` is an optimal strategy of the skew game."""
-    return _is_optimal(weights, equilibrium_slacks(matrix, weights))
+    """Exact check that ``weights`` is an optimal strategy of the skew game.
+
+    Raises ValueError unless ``matrix`` is square and skew symmetric and
+    ``weights`` has one entry per row.
+    """
+    v, d, slacks, _ = _scaled(matrix, weights)
+    return _is_optimal(v, d, slacks)

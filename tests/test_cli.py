@@ -260,6 +260,18 @@ def test_scan_usage_errors(capsys):
     assert code == 2  # above the exhaustive cap
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "random", "--n", "100000000000000000000000", "--seed", "1"),
+    ("scan", "--rules", "banks,bp", "--mode", "random",
+     "--max-order", "100000000000000000000000"),
+])
+def test_huge_orders_are_usage_errors(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_export_dot_labeled(tmp_path, capsys):
     src = tmp_path / "t.txt"
     dot = tmp_path / "t.dot"

@@ -1,14 +1,18 @@
 """Exact equilibrium solving for skew-symmetric games."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from oracles import oracle_bipartisan
 from tournsol import (
+    bipartisan_set,
     build_t36,
     build_t36_variant,
     equilibrium_slacks,
     games,
+    isomorphism_class_representatives,
     random_orientations,
     random_tournament,
     solve_symmetric_zero_sum,
@@ -51,7 +55,7 @@ def test_rejects_empty_matrix():
         solve_symmetric_zero_sum([])
 
 
-def test_weighted_cycle_with_rational_entries():
+def test_weighted_cycle_with_rational_entries(fallbacks):
     # a lopsided cycle: heavier losses shift weight off strategy 2
     m = [
         [0, Fraction(1), Fraction(-3)],
@@ -62,6 +66,7 @@ def test_weighted_cycle_with_rational_entries():
     assert sum(w) == 1
     assert verify_equilibrium(m, w)
     assert w == (Fraction(2, 6), Fraction(3, 6), Fraction(1, 6))
+    assert fallbacks == []
 
 
 def test_equilibrium_on_random_tournaments_verifies():
@@ -123,6 +128,15 @@ def test_verify_equilibrium_dimension_mismatch():
         equilibrium_slacks([[0, 1], [-1, 0]], (Fraction(1),))
 
 
+@pytest.mark.parametrize("matrix", [[[0, 1], [-1]], [[0, 1], [1, 0]], [[1, 1], [-1, 0]], []])
+def test_verify_equilibrium_rejects_malformed_matrices(matrix):
+    weights = (1, 0)[: len(matrix)]
+    with pytest.raises(ValueError):
+        verify_equilibrium(matrix, weights)
+    with pytest.raises(ValueError):
+        equilibrium_slacks(matrix, weights)
+
+
 def test_verify_equilibrium_rejects_bad_lotteries():
     m = [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
     third = Fraction(1, 3)
@@ -164,6 +178,17 @@ def no_fallback(monkeypatch):
     monkeypatch.setattr(games, "_bland", refuse)
 
 
+def random_rational_game(n, seed):
+    """A skew game whose cells have mixed denominators, all dividing 30."""
+    rng = random.Random(seed)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            m[x][y] = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 6, 10, 15, 30)))
+            m[y][x] = -m[x][y]
+    return m
+
+
 def t36_family():
     return [build_t36()] + [build_t36_variant(random_orientations(seed)) for seed in (1, 2, 3)]
 
@@ -179,6 +204,76 @@ def test_matches_reference_path_on_the_order_36_build_and_variants():
     for t in t36_family():
         m = t.skew_adjacency()
         assert solve_symmetric_zero_sum(m) == reference(m)
+
+
+def test_every_class_up_to_order_7_is_certified_as_the_reference(no_fallback):
+    for n in range(1, 8):
+        for t in isomorphism_class_representatives(n):
+            m = t.skew_adjacency()
+            assert solve_symmetric_zero_sum(m) == reference(m)
+
+
+def test_classes_up_to_order_6_match_the_odd_support_oracle():
+    for n in range(1, 7):
+        for t in isomorphism_class_representatives(n):
+            assert bipartisan_set(t) == oracle_bipartisan(t)
+
+
+MIXED_DENOMINATORS = [
+    [0, Fraction(1, 2), Fraction(-3, 7)],
+    [Fraction(-1, 2), 0, Fraction(2, 5)],
+    [Fraction(3, 7), Fraction(-2, 5), 0],
+]
+
+
+@pytest.mark.parametrize(
+    "matrix", [MIXED_DENOMINATORS, random_rational_game(9, 1), random_rational_game(16, 2)]
+)
+def test_rational_matrices_are_certified(matrix, fallbacks):
+    assert solve_symmetric_zero_sum(matrix) == reference(matrix)
+    assert fallbacks == []
+
+
+def test_mixed_denominators_scale_to_one_integer_matrix():
+    a, scale = games._integer_matrix(games._as_skew_matrix(MIXED_DENOMINATORS))
+    assert scale == 70
+    assert a == [[0, 35, -30], [-35, 0, 28], [30, -28, 0]]
+    assert solve_symmetric_zero_sum(MIXED_DENOMINATORS) == (
+        Fraction(28, 93), Fraction(10, 31), Fraction(35, 93)
+    )
+
+
+def test_integer_cells_build_no_fraction():
+    m = games._as_skew_matrix(random_tournament(6, 3).skew_adjacency())
+    assert all(type(cell) is int for row in m for cell in row)
+    assert games._integer_matrix(m) == (m, 1)
+
+
+_RPS = [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
+
+
+def test_support_lottery_swaps_past_a_zero_first_pivot():
+    # The first equation's entry for the first unknown is a diagonal cell,
+    # always 0; the sum row has to be swapped in as the first pivot row.
+    assert games._support_lottery([[0, 1], [-1, 0]], [0]) == ([1], 1)
+    m = [[0, 0, 1, 1], [0, 0, -1, 1], [-1, 1, 0, 0], [-1, -1, 0, 0]]
+    assert games._support_lottery(m, [0, 1, 2]) == ([1, 1, 0], 2)
+
+
+def test_support_lottery_returns_a_positive_denominator():
+    # Elimination on rock-paper-scissors ends on the pivot -3: every pivot
+    # row reads -3 * p_x = -1, and the signs are flipped on the way out.
+    assert games._support_lottery(_RPS, [0, 1, 2]) == ([1, 1, 1], 3)
+
+
+def test_support_lottery_rejects_a_rank_deficient_support():
+    assert games._support_lottery([[0, 0], [0, 0]], [0, 1]) is None
+    assert games._support_lottery(_RPS, []) is None
+
+
+def test_support_lottery_rejects_an_inconsistent_support():
+    # Full rank 2, but the two equations force p_0 = p_1 = 0 against sum(p) = 1.
+    assert games._support_lottery(_RPS, [0, 1]) is None
 
 
 def wrong_guesses(n, support):
