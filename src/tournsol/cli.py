@@ -13,8 +13,8 @@ import json
 import sys
 
 from . import t36
-from .io import export_dot, parse_tournament, read_tournament
-from .search import RULES, ScanConfig, scan_separation
+from .io import export_dot, format_tournament, parse_tournament, read_tournament
+from .search import RULES, ScanConfig, random_tournament, scan_separation
 from .solutions import banks_witness, bipartisan_set
 
 __all__ = ["main"]
@@ -90,16 +90,16 @@ def _render(v: int, labeled: bool) -> str:
 
 
 def _cmd_gen(args) -> int:
-    from .io import format_tournament
-    from .search import random_tournament
-
     if args.target == "paper36":
         if args.variant_seed is None:
             t = t36.build_t36()
         else:
             t = t36.build_t36_variant(t36.random_orientations(args.variant_seed))
     else:
-        t = random_tournament(args.n, args.seed)
+        try:
+            t = random_tournament(args.n, args.seed)
+        except (OverflowError, MemoryError):  # no list of rows that long
+            raise ValueError(f"--n {args.n} is too large to build") from None
     _write(args.output, format_tournament(t))
     return 0
 
@@ -166,7 +166,10 @@ def _cmd_scan(args) -> int:
         sample_count=args.samples if args.samples is not None else 1000,
         seed=args.seed if args.seed is not None else 0,
     )
-    outcome = scan_separation(config)
+    try:
+        outcome = scan_separation(config)
+    except (OverflowError, MemoryError):  # exhaustive orders stop at 8
+        raise ValueError(f"--max-order {args.max_order} is too large to build") from None
     for order in outcome.orders:
         if outcome.labeled_counts is not None:
             print(f"order {order}: {outcome.examined[order]} classes covering "
@@ -225,9 +228,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    # ParseError and InvariantError are ValueErrors; an order too large to
-    # index a list raises OverflowError.
-    except (ValueError, OSError, OverflowError) as exc:
+    # ParseError and InvariantError are ValueErrors.
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

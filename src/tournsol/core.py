@@ -4,7 +4,7 @@ A tournament is a complete asymmetric relation on alternatives 0..n-1:
 for every pair x != y exactly one of "x dominates y" or "y dominates x"
 holds.  Dominance is stored one machine integer per alternative (bit y of
 row x is set iff x dominates y), which keeps subset operations cheap and
-the structure hashable.
+the structure hashable.  Dominators are derived from the rows.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class Tournament:
     directions, or a pair claimed in neither.
     """
 
-    __slots__ = ("_n", "_rows", "_cols")
+    __slots__ = ("_n", "_rows", "_carrier")
 
     def __init__(self, matrix: Sequence[Sequence[object]]):
         n = len(matrix)
@@ -65,22 +65,18 @@ class Tournament:
                     raise ValueError(f"pair ({x}, {y}) dominated in both directions")
                 if not a and not b:
                     raise ValueError(f"pair ({x}, {y}) left undecided")
-        self._init_from_masks(n, rows)
+        self._store(n, rows)
 
-    def _init_from_masks(self, n: int, rows: list[int]) -> None:
-        cols = [0] * n
-        for x, row in enumerate(rows):
-            for y in iter_bits(row):
-                cols[y] |= 1 << x
+    def _store(self, n: int, rows: Sequence[int]) -> None:
         self._n = n
         self._rows = tuple(rows)
-        self._cols = tuple(cols)
+        self._carrier = (1 << n) - 1
 
     @classmethod
     def _from_masks(cls, n: int, rows: Sequence[int]) -> "Tournament":
         # Trusted fast path for generators that construct valid rows directly.
         t = cls.__new__(cls)
-        t._init_from_masks(n, list(rows))
+        t._store(n, rows)
         return t
 
     @property
@@ -98,7 +94,8 @@ class Tournament:
         return self._rows[x]
 
     def dominators_mask(self, x: int) -> int:
-        return self._cols[x]
+        # Row x lies inside the carrier without x, so XOR takes it away.
+        return self._carrier ^ (1 << x) ^ self._rows[x]
 
     def dominion(self, x: int) -> frozenset[int]:
         """Alternatives that x dominates."""
@@ -106,7 +103,7 @@ class Tournament:
 
     def dominators(self, x: int) -> frozenset[int]:
         """Alternatives that dominate x."""
-        return frozenset(iter_bits(self._cols[x]))
+        return frozenset(iter_bits(self.dominators_mask(x)))
 
     def copeland_score(self, x: int) -> int:
         return self._rows[x].bit_count()

@@ -21,6 +21,7 @@ from itertools import combinations
 from math import factorial
 
 from .core import Tournament, iter_bits
+from .io import format_tournament
 from .solutions import banks_set, bipartisan_set, copeland_set, top_cycle, uncovered_set
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _EXHAUSTIVE_CAP = 8  # highest order an exhaustive scan accepts
+_CANONICAL_CAP = 9  # highest order canonical_form accepts by default
 
 
 def splitmix64(z: int) -> int:
@@ -99,7 +101,7 @@ def enumerate_labeled(n: int, cap: int = 6):
         yield Tournament._from_masks(n, rows)
 
 
-def canonical_form(t: Tournament, cap: int = 9) -> bytes:
+def canonical_form(t: Tournament, cap: int = _CANONICAL_CAP) -> bytes:
     """Lexicographically smallest row-major matrix encoding over relabellings.
 
     Two tournaments are isomorphic iff their canonical forms are equal.
@@ -212,7 +214,7 @@ def _extensions(t: Tournament):
         yield Tournament._from_masks(n + 1, rows)
 
 
-def _certified_class_walk(max_order: int, cap: int):
+def _certified_class_walk(max_order: int):
     """Yield ``(order, reps, covered)`` for orders 1..max_order.
 
     ``reps`` holds one representative per isomorphism class of the order,
@@ -231,7 +233,7 @@ def _certified_class_walk(max_order: int, cap: int):
             seen: dict[bytes, Tournament] = {}
             for r in reps:
                 for ext in _extensions(r):
-                    key = canonical_form(ext, cap=cap)
+                    key = canonical_form(ext)
                     if key not in seen:
                         seen[key] = ext
             reps = [seen[key] for key in sorted(seen)]
@@ -245,7 +247,7 @@ def _certified_class_walk(max_order: int, cap: int):
         yield order, reps, covered
 
 
-def isomorphism_class_representatives(n: int, cap: int = 9) -> list[Tournament]:
+def isomorphism_class_representatives(n: int) -> list[Tournament]:
     """One representative per isomorphism class of order-n tournaments.
 
     The classes come from the certified walk that exhaustive scans use,
@@ -253,9 +255,9 @@ def isomorphism_class_representatives(n: int, cap: int = 9) -> list[Tournament]:
     """
     if n < 1:
         raise ValueError("order must be at least 1")
-    if n > cap:
-        raise ValueError(f"order {n} above canonicalisation cap {cap}")
-    for _, reps, _ in _certified_class_walk(n, cap):
+    if n > _CANONICAL_CAP:
+        raise ValueError(f"order {n} above canonicalisation cap {_CANONICAL_CAP}")
+    for _, reps, _ in _certified_class_walk(n):
         pass
     return reps
 
@@ -347,8 +349,6 @@ def scan_separation(config: ScanConfig) -> ScanOutcome:
     2**C(n, 2), which proves every labelled tournament is accounted for
     exactly once.
     """
-    from .io import format_tournament
-
     rule_a, rule_b = config.rules
     fa = resolve_rule(rule_a)
     fb = resolve_rule(rule_b)
@@ -379,7 +379,7 @@ def scan_separation(config: ScanConfig) -> ScanOutcome:
         )
 
     labeled_counts: dict[int, int] = {}
-    for order, reps, covered in _certified_class_walk(config.max_order, _EXHAUSTIVE_CAP):
+    for order, reps, covered in _certified_class_walk(config.max_order):
         labeled_counts[order] = covered
         examined[order] = len(reps)
         for r in reps:

@@ -264,12 +264,16 @@ def test_scan_usage_errors(capsys):
     ("gen", "random", "--n", "100000000000000000000000", "--seed", "1"),
     ("scan", "--rules", "banks,bp", "--mode", "random",
      "--max-order", "100000000000000000000000"),
+    # fits an index but not a list of rows: MemoryError before any allocation
+    ("gen", "random", "--n", str(2 ** 62), "--seed", "1"),
 ])
 def test_huge_orders_are_usage_errors(argv, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    option = "--n" if argv[0] == "gen" else "--max-order"
+    assert err == f"error: {option} {argv[argv.index(option) + 1]} is too large to build\n"
 
 
 def test_export_dot_labeled(tmp_path, capsys):

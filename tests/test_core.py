@@ -5,12 +5,14 @@ import pytest
 from tournsol import (
     Tournament,
     chain_insertion_point,
+    enumerate_labeled,
     is_transitive_subset,
     iter_bits,
     maximal_transitive_subsets,
     random_tournament,
 )
 from tournsol.core import inverse_permutation
+from tournsol.search import _extensions
 
 from oracles import oracle_is_transitive, oracle_maximal_transitive_subsets
 
@@ -61,15 +63,24 @@ def test_dominates_matches_matrix():
 
 
 def test_dominion_and_dominators_partition_everyone_else():
-    for seed in range(25):
-        n = 2 + seed % 9
-        t = random_tournament(n, seed)
+    # every way a Tournament is built: validating constructor, generators,
+    # the class walk's extensions, restriction and relabelling
+    randoms = [random_tournament(2 + seed % 9, seed) for seed in range(25)]
+    built = list(randoms)
+    built += [Tournament(t.to_rows()) for t in randoms]
+    built += [t for n in range(1, 5) for t in enumerate_labeled(n)]
+    built += [e for t in randoms[:5] for e in _extensions(t)]
+    built += [t.restrict(range(0, t.order, 2))[0] for t in randoms]
+    built += [t.apply_permutation(list(reversed(range(t.order)))) for t in randoms]
+    for t in built:
+        n = t.order
         for x in range(n):
             dom = t.dominion(x)
             sub = t.dominators(x)
             assert x not in dom and x not in sub
             assert dom & sub == frozenset()
             assert dom | sub == frozenset(range(n)) - {x}
+            assert t.dominators_mask(x) == sum(1 << y for y in range(n) if t.dominates(y, x))
 
 
 def test_copeland_scores_sum_to_pair_count():

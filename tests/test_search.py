@@ -107,6 +107,8 @@ def test_canonical_form_cap():
     with pytest.raises(ValueError):
         canonical_form(random_tournament(10, 0))
     canonical_form(random_tournament(10, 0), cap=10)
+    with pytest.raises(ValueError, match="^order 10 above canonicalisation cap 9$"):
+        isomorphism_class_representatives(10)
 
 
 def test_automorphism_counts():
