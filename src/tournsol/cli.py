@@ -9,7 +9,6 @@ too large to build.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import t36
@@ -145,6 +144,8 @@ def _cmd_verify(args) -> int:
     print(f"result: {'PASS' if report.passed else 'FAIL'} "
           f"({passed} passed, {failed} failed, {skipped} skipped, mode={report.mode})")
     if args.report is not None:
+        import json
+
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(report.to_json_dict(), fh, indent=2)
             fh.write("\n")
@@ -160,9 +161,7 @@ def _cmd_scan(args) -> int:
         print("error: --samples/--seed apply only to --mode random", file=sys.stderr)
         return 2
     config = ScanConfig(
-        rules=rules,  # type: ignore[arg-type]
-        max_order=args.max_order,
-        mode=args.mode,
+        rules, args.max_order, args.mode,  # type: ignore[arg-type]
         sample_count=args.samples if args.samples is not None else 1000,
         seed=args.seed if args.seed is not None else 0,
     )

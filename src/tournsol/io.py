@@ -49,6 +49,8 @@ def parse_tournament(text: str) -> Tournament:
     header = lines[0]
     if not (header.isascii() and header.isdigit()):
         raise ParseError(f"order must be a decimal integer, got {header!r}", 1, 1)
+    if len(header) > 4300:  # int()'s default digit limit; no file has that many rows
+        raise ParseError(f"order has {len(header)} digits, more than 4300", 1, 1)
     n = int(header)
     if n < 1:
         raise ParseError("order must be at least 1", 1, 1)

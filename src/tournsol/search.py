@@ -16,7 +16,6 @@ tournaments.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial
 
@@ -292,7 +291,6 @@ def check_disjoint(t: Tournament, rule_a: str, rule_b: str) -> bool:
     return not (a & b)
 
 
-@dataclass(frozen=True)
 class ScanConfig:
     """Parameters of a separation scan.
 
@@ -301,43 +299,52 @@ class ScanConfig:
     tournaments of order ``max_order`` from streams derived from ``seed``.
     """
 
-    rules: tuple[str, str]
-    max_order: int
-    mode: str = "exhaustive"
-    sample_count: int = 0
-    seed: int = 0
+    __slots__ = ("rules", "max_order", "mode", "sample_count", "seed")
 
-    def __post_init__(self) -> None:
-        if len(self.rules) != 2:
+    def __init__(self, rules: tuple[str, str], max_order: int, mode: str = "exhaustive",
+                 sample_count: int = 0, seed: int = 0) -> None:
+        if len(rules) != 2:
             raise ValueError("exactly two rules required")
-        for name in self.rules:
+        for name in rules:
             resolve_rule(name)
-        if self.mode not in ("exhaustive", "random"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.max_order < 1:
+        if mode not in ("exhaustive", "random"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if max_order < 1:
             raise ValueError("max_order must be at least 1")
-        if self.mode == "exhaustive" and self.max_order > _EXHAUSTIVE_CAP:
+        if mode == "exhaustive" and max_order > _EXHAUSTIVE_CAP:
             raise ValueError(
                 f"exhaustive scan above order {_EXHAUSTIVE_CAP} not supported"
             )
-        if self.mode == "random" and self.sample_count < 1:
+        if mode == "random" and sample_count < 1:
             raise ValueError("random mode needs sample_count >= 1")
+        self.rules = rules
+        self.max_order = max_order
+        self.mode = mode
+        self.sample_count = sample_count
+        self.seed = seed
 
 
-@dataclass(frozen=True)
 class ScanWitness:
-    order: int
-    rules: tuple[str, str]
-    text: str  # tournament file content
-    choice_sets: tuple[tuple[int, ...], tuple[int, ...]]
+    __slots__ = ("order", "rules", "text", "choice_sets")
+
+    def __init__(self, order: int, rules: tuple[str, str], text: str,
+                 choice_sets: tuple[tuple[int, ...], tuple[int, ...]]) -> None:
+        self.order = order
+        self.rules = rules
+        self.text = text  # tournament file content
+        self.choice_sets = choice_sets
 
 
-@dataclass(frozen=True)
 class ScanOutcome:
-    orders: tuple[int, ...]
-    examined: dict[int, int]  # classes (exhaustive) or samples (random) per order
-    labeled_counts: dict[int, int] | None  # exhaustive: labelled tournaments covered
-    witnesses: tuple[ScanWitness, ...] = field(default_factory=tuple)
+    __slots__ = ("orders", "examined", "labeled_counts", "witnesses")
+
+    def __init__(self, orders: tuple[int, ...], examined: dict[int, int],
+                 labeled_counts: dict[int, int] | None,
+                 witnesses: tuple[ScanWitness, ...] = ()) -> None:
+        self.orders = orders
+        self.examined = examined  # classes (exhaustive) or samples (random) per order
+        self.labeled_counts = labeled_counts  # exhaustive: labelled tournaments covered
+        self.witnesses = witnesses
 
 
 def scan_separation(config: ScanConfig) -> ScanOutcome:
@@ -359,24 +366,15 @@ def scan_separation(config: ScanConfig) -> ScanOutcome:
         sa = fa(t)
         sb = fb(t)
         if not (sa & sb):
-            witnesses.append(
-                ScanWitness(
-                    order=order,
-                    rules=config.rules,
-                    text=format_tournament(t),
-                    choice_sets=(tuple(sorted(sa)), tuple(sorted(sb))),
-                )
-            )
+            witnesses.append(ScanWitness(order, config.rules, format_tournament(t),
+                                         (tuple(sorted(sa)), tuple(sorted(sb)))))
 
     if config.mode == "random":
         order = config.max_order
         for i in range(config.sample_count):
             note(random_tournament(order, derive_seed(config.seed, i)), order)
         examined[order] = config.sample_count
-        return ScanOutcome(
-            orders=(order,), examined=examined, labeled_counts=None,
-            witnesses=tuple(witnesses),
-        )
+        return ScanOutcome((order,), examined, None, tuple(witnesses))
 
     labeled_counts: dict[int, int] = {}
     for order, reps, covered in _certified_class_walk(config.max_order):
@@ -384,9 +382,5 @@ def scan_separation(config: ScanConfig) -> ScanOutcome:
         examined[order] = len(reps)
         for r in reps:
             note(r, order)
-    return ScanOutcome(
-        orders=tuple(range(1, config.max_order + 1)),
-        examined=examined,
-        labeled_counts=labeled_counts,
-        witnesses=tuple(witnesses),
-    )
+    return ScanOutcome(tuple(range(1, config.max_order + 1)), examined, labeled_counts,
+                       tuple(witnesses))

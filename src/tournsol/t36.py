@@ -30,7 +30,6 @@ of this from scratch and returns an itemised report.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from collections.abc import Iterable, Mapping, Sequence
@@ -285,21 +284,25 @@ def dot_clusters() -> list[tuple[str, list[tuple[str, list[int]]]]]:
 # verification
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    name: str
-    status: str  # "pass", "fail" or "skipped"
-    details: dict
+    __slots__ = ("name", "status", "details")
+
+    def __init__(self, name: str, status: str, details: dict) -> None:
+        self.name = name
+        self.status = status  # "pass", "fail" or "skipped"
+        self.details = details
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "status": self.status, "details": self.details}
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    mode: str  # "canonical", "variant" or "general"
-    order: int
-    checks: tuple[CheckResult, ...]
+    __slots__ = ("mode", "order", "checks")
+
+    def __init__(self, mode: str, order: int, checks: tuple[CheckResult, ...]) -> None:
+        self.mode = mode  # "canonical", "variant" or "general"
+        self.order = order
+        self.checks = checks
 
     @property
     def passed(self) -> bool:

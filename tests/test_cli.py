@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -276,6 +280,14 @@ def test_huge_orders_are_usage_errors(argv, capsys):
     assert err == f"error: {option} {argv[argv.index(option) + 1]} is too large to build\n"
 
 
+def test_overlong_header_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("9" * 5000 + "\n")
+    code, out, err = run(capsys, "solve", str(path), "--rule", "tc")
+    assert (code, out) == (2, "")
+    assert err == "error: line 1, column 1: order has 5000 digits, more than 4300\n"
+
+
 def test_export_dot_labeled(tmp_path, capsys):
     src = tmp_path / "t.txt"
     dot = tmp_path / "t.dot"
@@ -321,3 +333,19 @@ def test_no_subcommand_is_usage_error(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def test_import_loads_no_dataclasses_inspect_or_json():
+    # A fresh interpreter, compared with its own start-up modules, so a
+    # site hook that preloads one of these cannot fail the test.
+    probe = (
+        "import sys; before = set(sys.modules); import tournsol.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    loaded = set(done.stdout.split())
+    assert "tournsol.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "json"}

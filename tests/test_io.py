@@ -63,6 +63,15 @@ def test_parse_rejects_non_ascii_digits_in_header():
     assert (err.value.line, err.value.column) == (1, 1)
 
 
+def test_parse_rejects_header_longer_than_int_digit_limit():
+    message = "^line 1, column 1: order has 5000 digits, more than 4300$"
+    with pytest.raises(ParseError, match=message):
+        parse_tournament("9" * 5000 + "\n")
+    # at the limit the header still parses, and the row count is reported
+    with pytest.raises(ParseError, match="^line 2, column 1: expected 9{4300} matrix rows"):
+        parse_tournament("9" * 4300 + "\n")
+
+
 def test_read_reports_non_ascii_bytes_by_position(tmp_path):
     path = tmp_path / "t.txt"
     path.write_bytes(b"3\n01\xe9\n001\n100\n")

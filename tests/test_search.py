@@ -7,6 +7,7 @@ import pytest
 
 from tournsol import (
     ScanConfig,
+    ScanOutcome,
     Tournament,
     automorphism_count,
     canonical_form,
@@ -176,17 +177,36 @@ def test_check_disjoint():
     assert not check_disjoint(chain3, "uc", "bp")
 
 
+def test_scan_config_positional_keyword_and_defaults():
+    positional = ScanConfig(("banks", "bp"), 5)
+    keyword = ScanConfig(rules=("banks", "bp"), max_order=5)
+    for config in (positional, keyword):
+        assert config.rules == ("banks", "bp") and config.max_order == 5
+        assert (config.mode, config.sample_count, config.seed) == ("exhaustive", 0, 0)
+    config = ScanConfig(("uc", "tc"), 7, "random", 40, 11)
+    assert (config.rules, config.max_order, config.mode, config.sample_count, config.seed) == (
+        ("uc", "tc"), 7, "random", 40, 11)
+
+
 def test_scan_config_validation():
-    with pytest.raises(ValueError):
-        ScanConfig(rules=("banks",), max_order=5, mode="exhaustive")  # type: ignore[arg-type]
-    with pytest.raises(ValueError):
-        ScanConfig(rules=("banks", "bp"), max_order=0, mode="exhaustive")
-    with pytest.raises(ValueError):
-        ScanConfig(rules=("banks", "bp"), max_order=5, mode="sideways")
-    with pytest.raises(ValueError):
-        ScanConfig(rules=("banks", "nope"), max_order=5, mode="exhaustive")
-    with pytest.raises(ValueError):
-        ScanConfig(rules=("banks", "bp"), max_order=5, mode="random", sample_count=-1)
+    cases = [
+        (dict(rules=("banks",), max_order=5), "^exactly two rules required$"),
+        (dict(rules=("banks", "bp"), max_order=0), "^max_order must be at least 1$"),
+        (dict(rules=("banks", "bp"), max_order=5, mode="sideways"), "^unknown mode 'sideways'$"),
+        (dict(rules=("banks", "nope"), max_order=5),
+         r"^unknown rule 'nope'; choose from copeland, tc, uc, banks, bp$"),
+        (dict(rules=("banks", "bp"), max_order=9),
+         "^exhaustive scan above order 8 not supported$"),
+        (dict(rules=("banks", "bp"), max_order=5, mode="random", sample_count=-1),
+         "^random mode needs sample_count >= 1$"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            ScanConfig(**kwargs)
+
+
+def test_scan_outcome_has_no_witnesses_by_default():
+    assert ScanOutcome((1,), {1: 1}, None).witnesses == ()
 
 
 def test_exhaustive_scan_small_orders():

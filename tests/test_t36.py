@@ -1,5 +1,6 @@
 """The bundled order-36 construction and its scripted verification."""
 
+import hashlib
 import json
 
 import pytest
@@ -197,6 +198,15 @@ def test_report_json_matches_schema():
         jsonschema.validate(doc, schema)
         # JSON round-trip safe
         assert json.loads(json.dumps(doc)) == doc
+
+
+def test_verify_paper_report_bytes_are_pinned(tmp_path):
+    from tournsol.cli import main
+
+    path = tmp_path / "report.json"
+    assert main(["verify-paper", "--report", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "e6edab776225520fb85b08cc298b376edd5074d6661643aa8caecdaedfcba15c"
 
 
 def test_vertex_id_rejects_bad_coordinates():
