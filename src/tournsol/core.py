@@ -21,6 +21,8 @@ __all__ = [
     "maximal_transitive_subsets",
 ]
 
+_TRANSITIVE_CAP = 16  # largest ``within`` maximal_transitive_subsets accepts
+
 
 def iter_bits(mask: int):
     """Yield the indices of the set bits of ``mask``, ascending."""
@@ -229,7 +231,6 @@ def chain_insertion_point(t: Tournament, chain: Sequence[int], v: int) -> int | 
 def maximal_transitive_subsets(
     t: Tournament,
     within: Iterable[int] | None = None,
-    cap: int = 16,
 ) -> list[frozenset[int]]:
     """All inclusion-maximal transitive subsets of ``within``.
 
@@ -239,8 +240,8 @@ def maximal_transitive_subsets(
     is produced exactly once.  A set is recorded when nothing below extends
     it and no outside alternative can be inserted at any position.
 
-    Raises ValueError when ``within`` has more than ``cap`` members; the
-    subset count can grow exponentially.
+    Raises ValueError when ``within`` has more than ``_TRANSITIVE_CAP``
+    members; the subset count can grow exponentially.
     """
     if within is None:
         within_mask = (1 << t.order) - 1
@@ -249,8 +250,8 @@ def maximal_transitive_subsets(
     k = within_mask.bit_count()
     if k == 0:
         raise ValueError("empty carrier subset")
-    if k > cap:
-        raise ValueError(f"subset of size {k} exceeds cap {cap}")
+    if k > _TRANSITIVE_CAP:
+        raise ValueError(f"subset of size {k} exceeds cap {_TRANSITIVE_CAP}")
 
     results: list[frozenset[int]] = []
     chain: list[int] = []

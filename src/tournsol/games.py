@@ -7,15 +7,17 @@ strategies are exactly the solutions of
 
     p >= 0,  sum(p) = 1,  M^T p >= 0.
 
-The solver guesses, solves, certifies and only then falls back:
+A rational matrix is first scaled to integers by the lcm of its
+denominators; a positive scale keeps the optimal strategies and the sign
+of every slack.  The solver then guesses, solves, certifies and only then
+falls back:
 
 1. Guess.  A phase-1 simplex over floats proposes a support S.  Its pivot
    count is capped, and it only ever names candidate strategies.
 2. Solve.  The lottery on S is solved exactly from the k+1 equations
    sum_{x in S} M[x][y] p_x = 0 (y in S) and sum(p) = 1 by fraction-free
-   Gauss-Jordan elimination over ``int`` (Bareiss), after a rational
-   matrix is scaled to integers by the lcm of its denominators.  It
-   yields integer numerators v and one positive common denominator D.
+   Gauss-Jordan elimination over ``int`` (Bareiss).  It yields integer
+   numerators v and one positive common denominator D.
 3. Certify.  The lottery is returned only if that system has full rank,
    every weight on S is positive, the strategy passes the exact integer
    check that ``verify_equilibrium`` also runs (sum(v) = D, v >= 0 and
@@ -56,11 +58,12 @@ _GUESS_TOL = 1e-7
 _GUESS_PIVOTS_PER_STRATEGY = 500
 
 
-def _as_skew_matrix(matrix: Sequence[Sequence[object]]) -> list[list[int | Fraction]]:
-    """``matrix`` as rows of ``int`` and ``Fraction``, checked square and skew.
+def _integer_game(matrix: Sequence[Sequence[object]]) -> tuple[list[list[int]], int]:
+    """``matrix`` checked square and skew, scaled to ints, and the scale.
 
-    An ``int`` cell stays an ``int``, so a tournament matrix builds no
-    ``Fraction``; any other cell becomes a ``Fraction``.
+    An all-``int`` matrix, such as a tournament's, builds no ``Fraction``
+    and has scale 1.  Otherwise the scale is the lcm of the denominators
+    of the cells that are not ``int``.
     """
     n = len(matrix)
     if n == 0:
@@ -70,11 +73,15 @@ def _as_skew_matrix(matrix: Sequence[Sequence[object]]) -> list[list[int | Fract
         if len(row) != n:
             raise ValueError("payoff matrix is not square")
         m.append([cell if type(cell) is int else Fraction(cell) for cell in row])
+    rational = [cell for row in m for cell in row if type(cell) is not int]
+    scale = lcm(*(cell.denominator for cell in rational))
+    if rational:
+        m = [[cell.numerator * (scale // cell.denominator) for cell in row] for row in m]
     for x in range(n):
         for y in range(x, n):
             if m[x][y] != -m[y][x]:
                 raise ValueError(f"matrix is not skew-symmetric at ({x}, {y})")
-    return m
+    return m, scale
 
 
 def solve_symmetric_zero_sum(matrix: Sequence[Sequence[object]]) -> tuple[Fraction, ...]:
@@ -84,14 +91,12 @@ def solve_symmetric_zero_sum(matrix: Sequence[Sequence[object]]) -> tuple[Fracti
     matrices arising from tournaments the equilibrium is unique, so the
     returned strategy is *the* equilibrium and its support is well defined.
     """
-    m = _as_skew_matrix(matrix)
-    certified = _certify(m, _guess_support(m))
-    return certified if certified is not None else _bland(m)
+    a, _ = _integer_game(matrix)
+    certified = _certify(a, _guess_support(a))
+    return certified if certified is not None else _bland(a)
 
 
-def _phase1(
-    m: list[list[int | Fraction]], number: type, tol: float, max_pivots: int | None
-) -> list | None:
+def _phase1(m: list[list[int]], number: type, tol: float, max_pivots: int | None) -> list | None:
     """Weights of a phase-1 simplex optimum over the type ``number``.
 
     Bland's rule picks the first improving column and breaks ratio ties
@@ -178,7 +183,7 @@ def _phase1(
     return weights
 
 
-def _bland(m: list[list[int | Fraction]]) -> tuple[Fraction, ...]:
+def _bland(m: list[list[int]]) -> tuple[Fraction, ...]:
     """The reference path: the phase-1 simplex in exact arithmetic."""
     weights = _phase1(m, Fraction, 0, None)
     if weights is None:
@@ -189,7 +194,7 @@ def _bland(m: list[list[int | Fraction]]) -> tuple[Fraction, ...]:
     return result
 
 
-def _guess_support(m: list[list[int | Fraction]]) -> list[int]:
+def _guess_support(m: list[list[int]]) -> list[int]:
     """Strategies a float phase-1 simplex weights above the tolerance.
 
     Empty when the float pass fails; the guess only names candidates.
@@ -201,20 +206,19 @@ def _guess_support(m: list[list[int | Fraction]]) -> list[int]:
     return [x for x in range(n) if weights[x] > _GUESS_TOL]
 
 
-def _certify(m: list[list[int | Fraction]], support: list[int]) -> tuple[Fraction, ...] | None:
+def _certify(a: list[list[int]], support: list[int]) -> tuple[Fraction, ...] | None:
     """The unique optimal strategy, if its support is ``support``; else None.
 
     None means the support could not be certified, not that the game has
     no such strategy; the caller then runs the exact simplex.
     """
-    a, _ = _integer_matrix(m)
     solved = _support_lottery(a, support)
     if solved is None:
         return None
     on_support, d = solved
     if any(w <= 0 for w in on_support):
         return None
-    n = len(m)
+    n = len(a)
     v = [0] * n
     for x, vx in zip(support, on_support):
         v[x] = vx
@@ -231,18 +235,6 @@ def _certify(m: list[list[int | Fraction]], support: list[int]) -> tuple[Fractio
     for x, vx in zip(support, on_support):
         weights[x] = Fraction(vx, d)
     return tuple(weights)
-
-
-def _integer_matrix(m: list[list[int | Fraction]]) -> tuple[list[list[int]], int]:
-    """``m`` times the lcm of its denominators, as ints, and that lcm.
-
-    A positive scale keeps the optimal strategies and the sign of every
-    slack, so the integer matrix certifies the same lotteries.
-    """
-    if all(type(cell) is int for row in m for cell in row):
-        return m, 1  # type: ignore[return-value]
-    scale = lcm(*(cell.denominator for row in m for cell in row))
-    return [[cell.numerator * (scale // cell.denominator) for cell in row] for row in m], scale
 
 
 def _support_lottery(a: list[list[int]], support: list[int]) -> tuple[list[int], int] | None:
@@ -301,10 +293,9 @@ def _scaled(
     The weights are v / d, and the slacks of ``weights`` on ``matrix`` are
     the returned ints divided by scale * d.
     """
-    m = _as_skew_matrix(matrix)
-    if len(weights) != len(m):
+    a, scale = _integer_game(matrix)
+    if len(weights) != len(a):
         raise ValueError("weight vector length does not match the matrix")
-    a, scale = _integer_matrix(m)
     w = [Fraction(x) for x in weights]
     d = lcm(*(x.denominator for x in w))
     v = [x.numerator * (d // x.denominator) for x in w]

@@ -12,6 +12,7 @@ InvariantError instead.
 from __future__ import annotations
 
 import os
+import sys
 
 from .core import Tournament
 
@@ -49,9 +50,11 @@ def parse_tournament(text: str) -> Tournament:
     header = lines[0]
     if not (header.isascii() and header.isdigit()):
         raise ParseError(f"order must be a decimal integer, got {header!r}", 1, 1)
-    if len(header) > 4300:  # int()'s default digit limit; no file has that many rows
-        raise ParseError(f"order has {len(header)} digits, more than 4300", 1, 1)
-    n = int(header)
+    try:
+        n = int(header)
+    except ValueError:  # ASCII digits fail int() only on its limit, new in 3.10.7
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"order has {len(header)} digits, more than {limit}", 1, 1) from None
     if n < 1:
         raise ParseError("order must be at least 1", 1, 1)
     if len(lines) - 1 < n:

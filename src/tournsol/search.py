@@ -42,7 +42,8 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _EXHAUSTIVE_CAP = 8  # highest order an exhaustive scan accepts
-_CANONICAL_CAP = 9  # highest order canonical_form accepts by default
+_CANONICAL_CAP = 9  # highest order canonical_form accepts
+_ENUMERATION_CAP = 6  # highest order enumerate_labeled accepts
 
 
 def splitmix64(z: int) -> int:
@@ -78,7 +79,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
     return Tournament._from_masks(n, rows)
 
 
-def enumerate_labeled(n: int, cap: int = 6):
+def enumerate_labeled(n: int):
     """Yield every labelled tournament of order n exactly once.
 
     Pair t of the lexicographic pair list (0,1), (0,2), ... orients along
@@ -87,8 +88,8 @@ def enumerate_labeled(n: int, cap: int = 6):
     """
     if n < 1:
         raise ValueError("order must be at least 1")
-    if n > cap:
-        raise ValueError(f"order {n} above enumeration cap {cap}")
+    if n > _ENUMERATION_CAP:
+        raise ValueError(f"order {n} above enumeration cap {_ENUMERATION_CAP}")
     pairs = list(combinations(range(n), 2))
     for code in range(1 << len(pairs)):
         rows = [0] * n
@@ -100,7 +101,7 @@ def enumerate_labeled(n: int, cap: int = 6):
         yield Tournament._from_masks(n, rows)
 
 
-def canonical_form(t: Tournament, cap: int = _CANONICAL_CAP) -> bytes:
+def canonical_form(t: Tournament) -> bytes:
     """Lexicographically smallest row-major matrix encoding over relabellings.
 
     Two tournaments are isomorphic iff their canonical forms are equal.
@@ -128,8 +129,8 @@ def canonical_form(t: Tournament, cap: int = _CANONICAL_CAP) -> bytes:
     is held as an int and written out once at the end.
     """
     n = t.order
-    if n > cap:
-        raise ValueError(f"order {n} above canonicalisation cap {cap}")
+    if n > _CANONICAL_CAP:
+        raise ValueError(f"order {n} above canonicalisation cap {_CANONICAL_CAP}")
     rows = t.row_masks
     best = 1 << n * n  # above every encoding
 

@@ -167,9 +167,7 @@ def build_t36_variant(orientations: Mapping[tuple[int, int], int]) -> Tournament
                 rows[x] |= 1 << y
             else:
                 rows[y] |= 1 << x
-    return Tournament(
-        [[rows[x] >> y & 1 for y in range(36)] for x in range(36)]
-    )
+    return Tournament._from_masks(36, rows)
 
 
 @lru_cache(maxsize=1)

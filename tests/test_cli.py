@@ -205,6 +205,17 @@ def test_verify_paper_report_file(tmp_path, capsys):
     assert "bipartisan_lottery" in names and "banks_set" in names
 
 
+def test_verify_paper_skips_orientation_dependent_checks_on_a_variant(tmp_path, capsys):
+    path = tmp_path / "variant.txt"
+    assert run(capsys, "gen", "paper36", "--variant-seed", "3", "-o", str(path))[0] == 0
+    code, text, _ = run(capsys, "verify-paper", str(path))
+    assert code == 0
+    lines = text.splitlines()
+    assert "SKIP degree_profile (triangle orientation dependent)" in lines
+    assert "SKIP symmetry_orbits (triangle orientation dependent)" in lines
+    assert lines[-1] == "result: PASS (8 passed, 0 failed, 2 skipped, mode=variant)"
+
+
 def test_verify_paper_fails_on_random(tmp_path, capsys):
     path = tmp_path / "r.txt"
     write_tournament(random_tournament(36, 99), path)
@@ -278,6 +289,14 @@ def test_huge_orders_are_usage_errors(argv, capsys):
     assert err.startswith("error: ")
     option = "--n" if argv[0] == "gen" else "--max-order"
     assert err == f"error: {option} {argv[argv.index(option) + 1]} is too large to build\n"
+
+
+def test_zero_order_header_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "zero.txt"
+    path.write_text("0\n")
+    code, out, err = run(capsys, "solve", str(path), "--rule", "tc")
+    assert (code, out) == (2, "")
+    assert err == "error: line 1, column 1: order must be at least 1\n"
 
 
 def test_overlong_header_is_a_parse_error(tmp_path, capsys):

@@ -230,4 +230,14 @@ def test_maximal_transitive_subsets_honors_cap():
     t = random_tournament(20, 1)
     with pytest.raises(ValueError):
         maximal_transitive_subsets(t)
-    assert maximal_transitive_subsets(t, cap=20)
+    assert maximal_transitive_subsets(t, range(16))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda t: t.restrict([]), "restriction to the empty set"),
+    (lambda t: maximal_transitive_subsets(t, []), "empty carrier subset"),
+    (lambda t: is_transitive_subset(t, [t.order]), "alternative 5 outside the carrier"),
+])
+def test_validation_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(random_tournament(5, 1))

@@ -154,7 +154,7 @@ _REFERENCE_PATH = games._bland
 
 
 def reference(matrix):
-    return _REFERENCE_PATH(games._as_skew_matrix(matrix))
+    return _REFERENCE_PATH(games._integer_game(matrix)[0])
 
 
 @pytest.fixture
@@ -234,8 +234,8 @@ def test_rational_matrices_are_certified(matrix, fallbacks):
     assert fallbacks == []
 
 
-def test_mixed_denominators_scale_to_one_integer_matrix():
-    a, scale = games._integer_matrix(games._as_skew_matrix(MIXED_DENOMINATORS))
+def test_mixed_denominators_scale_by_their_lcm():
+    a, scale = games._integer_game(MIXED_DENOMINATORS)
     assert scale == 70
     assert a == [[0, 35, -30], [-35, 0, 28], [30, -28, 0]]
     assert solve_symmetric_zero_sum(MIXED_DENOMINATORS) == (
@@ -243,10 +243,13 @@ def test_mixed_denominators_scale_to_one_integer_matrix():
     )
 
 
-def test_integer_cells_build_no_fraction():
-    m = games._as_skew_matrix(random_tournament(6, 3).skew_adjacency())
-    assert all(type(cell) is int for row in m for cell in row)
-    assert games._integer_matrix(m) == (m, 1)
+def test_integer_cells_build_no_fraction(monkeypatch):
+    def refuse(cell):
+        raise AssertionError(f"built a Fraction of {cell!r}")
+
+    monkeypatch.setattr(games, "Fraction", refuse)
+    m = random_tournament(6, 3).skew_adjacency()
+    assert games._integer_game(m) == (m, 1)
 
 
 _RPS = [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
@@ -298,7 +301,7 @@ def test_wrong_or_empty_guess_falls_back_to_the_reference(monkeypatch, fallbacks
 def test_pivot_cap_sends_the_guess_to_the_fallback(monkeypatch, fallbacks):
     monkeypatch.setattr(games, "_GUESS_PIVOTS_PER_STRATEGY", 0)
     m = random_tournament(9, 31).skew_adjacency()
-    assert games._guess_support(games._as_skew_matrix(m)) == []
+    assert games._guess_support(m) == []
     assert solve_symmetric_zero_sum(m) == reference(m)
     assert fallbacks == [9]
 

@@ -1,5 +1,7 @@
 """File format, parse diagnostics, and DOT export."""
 
+import sys
+
 import pytest
 
 from tournsol import (
@@ -70,6 +72,19 @@ def test_parse_rejects_header_longer_than_int_digit_limit():
     # at the limit the header still parses, and the row count is reported
     with pytest.raises(ParseError, match="^line 2, column 1: expected 9{4300} matrix rows"):
         parse_tournament("9" * 4300 + "\n")
+
+
+def test_parse_names_a_lowered_int_digit_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        message = "^line 1, column 1: order has 1000 digits, more than 640$"
+        with pytest.raises(ParseError, match=message):
+            parse_tournament("9" * 1000 + "\n")
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_read_reports_non_ascii_bytes_by_position(tmp_path):

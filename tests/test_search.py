@@ -107,7 +107,6 @@ def test_canonical_forms_and_representatives_are_pinned(n):
 def test_canonical_form_cap():
     with pytest.raises(ValueError):
         canonical_form(random_tournament(10, 0))
-    canonical_form(random_tournament(10, 0), cap=10)
     with pytest.raises(ValueError, match="^order 10 above canonicalisation cap 9$"):
         isomorphism_class_representatives(10)
 
@@ -250,3 +249,12 @@ def test_scan_witness_round_trip_on_artificial_rules(monkeypatch):
     sa, sb = w.choice_sets
     assert set(sa) & set(sb) == set()
     assert search_mod.RULES["copeland"](reloaded) == frozenset(sa)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: list(enumerate_labeled(0)), "order must be at least 1"),
+    (lambda: isomorphism_class_representatives(0), "order must be at least 1"),
+])
+def test_validation_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

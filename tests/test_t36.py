@@ -254,3 +254,12 @@ def test_dominion_of_corner_center_vertex():
     t = build_t36()
     expected = frozenset({0, 1, 2, 6, 11, 14, 17, 24, 25, 26}) | block(3)
     assert t.dominion(8) == expected
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: vertex_coords(36), "alternative 36 outside 0..35"),
+    (lambda: block(4), "block 4 outside 0..3"),
+])
+def test_validation_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
