@@ -73,9 +73,8 @@ def _integer_game(matrix: Sequence[Sequence[object]]) -> tuple[list[list[int]], 
         if len(row) != n:
             raise ValueError("payoff matrix is not square")
         m.append([cell if type(cell) is int else Fraction(cell) for cell in row])
-    rational = [cell for row in m for cell in row if type(cell) is not int]
-    scale = lcm(*(cell.denominator for cell in rational))
-    if rational:
+    scale = lcm(*(cell.denominator for row in m for cell in row if type(cell) is not int))
+    if scale != 1 or any(type(cell) is not int for row in m for cell in row):
         m = [[cell.numerator * (scale // cell.denominator) for cell in row] for row in m]
     for x in range(n):
         for y in range(x, n):
@@ -197,10 +196,14 @@ def _bland(m: list[list[int]]) -> tuple[Fraction, ...]:
 def _guess_support(m: list[list[int]]) -> list[int]:
     """Strategies a float phase-1 simplex weights above the tolerance.
 
-    Empty when the float pass fails; the guess only names candidates.
+    Empty when the float pass fails or a cell is beyond the float range;
+    the guess only names candidates.
     """
     n = len(m)
-    weights = _phase1(m, float, _GUESS_TOL, _GUESS_PIVOTS_PER_STRATEGY * n)
+    try:
+        weights = _phase1(m, float, _GUESS_TOL, _GUESS_PIVOTS_PER_STRATEGY * n)
+    except OverflowError:
+        return []
     if weights is None:
         return []
     return [x for x in range(n) if weights[x] > _GUESS_TOL]

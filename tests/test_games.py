@@ -252,6 +252,24 @@ def test_integer_cells_build_no_fraction(monkeypatch):
     assert games._integer_game(m) == (m, 1)
 
 
+# Scaled to integers, each of these has a cell beyond the float range: the
+# lcm of the denominators is 10**400, and 2**1049 for the float 1e-300.
+_TINY = Fraction(1, 10**400)
+BEYOND_FLOAT = [
+    [[0, 1, _TINY], [-1, 0, 1], [-_TINY, -1, 0]],
+    [[0, 1.0, 1e-300], [-1.0, 0, 1.0], [-1e-300, -1.0, 0]],
+]
+
+
+@pytest.mark.parametrize("matrix", BEYOND_FLOAT)
+def test_cells_beyond_the_float_range_fall_back_to_the_reference(matrix, fallbacks):
+    assert games._guess_support(games._integer_game(matrix)[0]) == []
+    result = solve_symmetric_zero_sum(matrix)
+    assert fallbacks == [3]
+    assert result == reference(matrix)
+    assert verify_equilibrium(matrix, result)
+
+
 _RPS = [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
 
 
