@@ -13,7 +13,7 @@ from collections.abc import Iterable, Sequence
 
 __all__ = [
     "Tournament",
-    "chain_insertion_point",
+    "chain_fit_mask",
     "is_automorphism",
     "is_transitive_subset",
     "iter_bits",
@@ -211,21 +211,24 @@ def is_transitive_subset(t: Tournament, members: Iterable[int]) -> bool:
     return scores == list(range(k))
 
 
-def chain_insertion_point(t: Tournament, chain: Sequence[int], v: int) -> int | None:
-    """Position where v fits into a dominance chain, or None.
+def chain_fit_mask(t: Tournament, chain: Sequence[int], within: int) -> int:
+    """Mask of the members of ``within`` that fit into a dominance chain.
 
     ``chain`` lists alternatives top down (each dominates all later ones).
     v fits at position i iff every chain member before i dominates v and v
-    dominates every chain member from i on; in a tournament that position
-    is unique when it exists.
+    dominates every chain member from i on; the fit mask is the union of
+    those sets over all positions.  That position is then the number of
+    chain members dominating v, and no chain member fits.
     """
-    i = 0
-    while i < len(chain) and t.dominates(chain[i], v):
-        i += 1
-    for j in range(i, len(chain)):
-        if not t.dominates(v, chain[j]):
-            return None
-    return i
+    tails = [within]  # tails[k]: what in ``within`` beats the last k members
+    for c in reversed(chain):
+        tails.append(tails[-1] & t.dominators_mask(c))
+    head = within  # dominated by every member so far
+    fit = 0
+    for c, tail in zip(chain, reversed(tails)):
+        fit |= head & tail
+        head &= t.dominion_mask(c)
+    return fit | head
 
 
 def maximal_transitive_subsets(
@@ -256,19 +259,16 @@ def maximal_transitive_subsets(
     results: list[frozenset[int]] = []
     chain: list[int] = []
 
-    def grow(cand_mask: int, chain_mask: int) -> None:
+    def grow(cand_mask: int) -> None:
         if cand_mask == 0:
-            outside = within_mask & ~chain_mask
-            for w in iter_bits(outside):
-                if chain_insertion_point(t, chain, w) is not None:
-                    return
-            results.append(frozenset(chain))
+            if chain_fit_mask(t, chain, within_mask) == 0:
+                results.append(frozenset(chain))
             return
         for c in iter_bits(cand_mask):
             chain.append(c)
-            grow(cand_mask & t.dominion_mask(c), chain_mask | (1 << c))
+            grow(cand_mask & t.dominion_mask(c))
             chain.pop()
 
-    grow(within_mask, 0)
+    grow(within_mask)
     results.sort(key=sorted)
     return results

@@ -1,9 +1,11 @@
 """Tournament file format and DOT export.
 
-File format: the first line holds the order n in decimal; the next n
-lines hold exactly n characters each from {0, 1}, where line x+2, column
-y+1 is 1 iff x dominates y.  Every line ends with a newline and the file
-contains nothing else.  Syntax problems raise ParseError with a 1-based
+File format: the first line holds the order n in decimal, with no
+leading zero; the next n lines hold exactly n characters each from
+{0, 1}, where line x+2, column y+1 is 1 iff x dominates y.  Every line
+ends with a newline and the file contains nothing else, so
+``format_tournament(parse_tournament(text)) == text`` for every text the
+parser accepts.  Syntax problems raise ParseError with a 1-based
 line and column; structurally well-formed files describing a non-
 tournament (self-dominance, a pair decided twice or not at all) raise
 InvariantError instead.
@@ -50,6 +52,8 @@ def parse_tournament(text: str) -> Tournament:
     header = lines[0]
     if not (header.isascii() and header.isdigit()):
         raise ParseError(f"order must be a decimal integer, got {header!r}", 1, 1)
+    if len(header) > 1 and header[0] == "0":
+        raise ParseError("order has a leading zero", 1, 1)
     try:
         n = int(header)
     except ValueError:  # ASCII digits fail int() only on its limit, new in 3.10.7

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Tournament, chain_insertion_point, iter_bits
+from .core import Tournament, chain_fit_mask, iter_bits
 from .games import solve_symmetric_zero_sum
 
 __all__ = [
@@ -87,12 +87,13 @@ def banks_witness(t: Tournament, x: int) -> tuple[int, ...] | None:
     and extending greedily inside x's dominion yields a maximal transitive
     subset topped by x, so the chain is a genuine membership witness.
 
-    Search: depth-first over chains.  At each node pick the common
-    dominator w of the current chain plus x whose set of usable counters
-    (chain-insertable members of x's dominion that dominate w) is
-    smallest, and branch on those counters; a pivot with no counters
-    refutes the whole node.  Ties everywhere break toward the smallest
-    alternative index, so the returned witness is deterministic.
+    Search: depth-first over chains, on row masks.  Each node takes the
+    mask of dominion members that fit into the chain (``chain_fit_mask``);
+    a common dominator w of the chain plus x has as counters those that
+    dominate w.  The w with the fewest counters is the pivot (ties to the
+    smallest index; the first w with none refutes the node), and its
+    counters are tried in ascending order, each inserted below the chain
+    members that dominate it.  So a witness, like a None, is deterministic.
     """
     if x < 0 or x >= t.order:
         raise ValueError(f"alternative {x} outside the carrier")
@@ -102,21 +103,20 @@ def banks_witness(t: Tournament, x: int) -> tuple[int, ...] | None:
     def search(common_dominators: int, chain_mask: int) -> bool:
         if common_dominators == 0:
             return True
-        best: list[tuple[int, int]] | None = None
+        fit = chain_fit_mask(t, chain, dominion)
+        best, best_count = 0, t.order + 1
         for w in iter_bits(common_dominators):
-            counters: list[tuple[int, int]] = []
-            for b in iter_bits(dominion & t.dominators_mask(w) & ~chain_mask):
-                pos = chain_insertion_point(t, chain, b)
-                if pos is not None:
-                    counters.append((b, pos))
-            if best is None or len(counters) < len(best):
-                best = counters
-                if not counters:
+            counters = fit & t.dominators_mask(w)
+            count = counters.bit_count()
+            if count < best_count:
+                best, best_count = counters, count
+                if not count:
                     break
-        assert best is not None
-        for b, pos in best:
+        for b in iter_bits(best):
+            dominators = t.dominators_mask(b)
+            pos = (dominators & chain_mask).bit_count()
             chain.insert(pos, b)
-            if search(common_dominators & t.dominators_mask(b), chain_mask | (1 << b)):
+            if search(common_dominators & dominators, chain_mask | (1 << b)):
                 return True
             del chain[pos]
         return False

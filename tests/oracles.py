@@ -56,6 +56,55 @@ def oracle_banks_set(t: Tournament) -> frozenset[int]:
     return frozenset(tops)
 
 
+def oracle_banks_witness(t: Tournament, x: int) -> tuple[int, ...] | None:
+    """The Banks witness search on lists, one insertion scan per candidate.
+
+    Not a definition but a second implementation of the library's search
+    order, kept to pin its exact witnesses: depth-first over chains (top
+    down) inside x's dominion; at each node the common dominator w of the
+    chain plus x with the fewest insertable counters (members of x's
+    dominion that dominate w), ties to the smallest index, stopping at
+    the first w with none; counters are tried in ascending order.
+    """
+    n = t.order
+    dominion = [b for b in range(n) if t.dominates(x, b)]
+    chain: list[int] = []
+
+    def slot(v: int) -> int | None:
+        i = 0
+        while i < len(chain) and t.dominates(chain[i], v):
+            i += 1
+        if all(t.dominates(v, c) for c in chain[i:]):
+            return i
+        return None
+
+    def search(common: list[int]) -> bool:
+        if not common:
+            return True
+        best: list[tuple[int, int]] | None = None
+        for w in common:
+            counters = []
+            for b in dominion:
+                if b not in chain and t.dominates(b, w):
+                    pos = slot(b)
+                    if pos is not None:
+                        counters.append((b, pos))
+            if best is None or len(counters) < len(best):
+                best = counters
+                if not counters:
+                    break
+        for b, pos in best:
+            chain.insert(pos, b)
+            if search([w for w in common if t.dominates(w, b)]):
+                return True
+            del chain[pos]
+        return False
+
+    if search([w for w in range(n) if t.dominates(w, x)]):
+        return tuple(chain)
+    return None
+
+
 def oracle_top_cycle(t: Tournament) -> frozenset[int]:
     n = t.order
     everyone = list(range(n))

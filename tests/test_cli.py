@@ -1,5 +1,6 @@
 """End-to-end command line behaviour through main(argv)."""
 
+import hashlib
 import io
 import json
 import os
@@ -368,3 +369,17 @@ def test_import_loads_no_dataclasses_inspect_or_json():
     loaded = set(done.stdout.split())
     assert "tournsol.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "json"}
+
+
+@pytest.mark.parametrize("gen_args, digest", [
+    (("random", "--n", "100", "--seed", "1"),
+     "bacef9ad0771321d947736ad966c99aaae2aedabfba714a715769144b3005fc2"),
+    (("paper36",),
+     "4c7aa8442b16ebc5e1d2cc838d9e356eeb38924d0fd8120b0d4b3d96e83c3039"),
+])
+def test_banks_witness_output_bytes_are_pinned(tmp_path, capsys, gen_args, digest):
+    path = tmp_path / "t.txt"
+    assert run(capsys, "gen", *gen_args, "-o", str(path))[0] == 0
+    code, out, err = run(capsys, "solve", str(path), "--rule", "banks", "--witness")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest

@@ -4,7 +4,7 @@ import pytest
 
 from tournsol import (
     Tournament,
-    chain_insertion_point,
+    chain_fit_mask,
     enumerate_labeled,
     is_transitive_subset,
     iter_bits,
@@ -166,46 +166,57 @@ def test_is_transitive_subset_matches_definition():
         assert is_transitive_subset(t, subset) == oracle_is_transitive(t, subset)
 
 
-def test_chain_insertion_point_produces_a_chain():
+def _insert(t, chain, v):
+    # A fitting alternative goes in below the chain members that dominate it.
+    chain.insert(sum(t.dominates(c, v) for c in chain), v)
+
+
+def test_chain_fit_mask_produces_a_chain():
     import random
 
     rng = random.Random(99)
     for _ in range(150):
         n = rng.randrange(3, 9)
         t = random_tournament(n, rng.getrandbits(32))
+        everyone = (1 << n) - 1
         chain = []
         order = list(range(n))
         rng.shuffle(order)
         for v in order:
-            pos = chain_insertion_point(t, chain, v)
-            if pos is None:
+            fit = chain_fit_mask(t, chain, everyone)
+            for u in range(n):
+                # v fits iff chain + v is transitive; chain members never fit
+                assert (fit >> u & 1) == (u not in chain and oracle_is_transitive(t, chain + [u]))
+            if not fit >> v & 1:
                 continue
-            chain.insert(pos, v)
+            _insert(t, chain, v)
             # chain stays top-down transitive after every insertion
             for i, hi in enumerate(chain):
                 for lo in chain[i + 1:]:
                     assert t.dominates(hi, lo)
 
 
-def test_chain_insertion_point_none_only_when_no_slot_works():
+def test_chain_fit_mask_empty_only_when_no_slot_works():
     import random
 
     rng = random.Random(5)
     for _ in range(80):
         t = random_tournament(7, rng.getrandbits(32))
+        within = rng.getrandbits(7)
         chain = []
         for v in (0, 3, 6):
-            pos = chain_insertion_point(t, chain, v)
-            if pos is not None:
-                chain.insert(pos, v)
+            if chain_fit_mask(t, chain, 0b1111111) >> v & 1:
+                _insert(t, chain, v)
+        fit = chain_fit_mask(t, chain, within)
+        assert fit & ~within == 0
         v = 5
-        pos = chain_insertion_point(t, chain, v)
         fits_somewhere = any(
             all(t.dominates(h, v) for h in chain[:i])
             and all(t.dominates(v, l) for l in chain[i:])
             for i in range(len(chain) + 1)
         )
-        assert (pos is not None) == fits_somewhere
+        assert bool(fit >> v & 1) == (fits_somewhere and bool(within >> v & 1))
+        assert bool(chain_fit_mask(t, chain, 1 << v)) == fits_somewhere
 
 
 def test_maximal_transitive_subsets_match_oracle():

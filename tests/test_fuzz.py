@@ -57,9 +57,7 @@ def test_parse_returns_the_formatted_input_or_a_typed_error(text):
         t = parse_tournament(text)
     except (ParseError, InvariantError):
         return
-    # The header is read as a decimal integer, so leading zeros are dropped.
-    header, rest = text.split("\n", 1)
-    assert format_tournament(t) == f"{int(header)}\n{rest}"
+    assert format_tournament(t) == text
 
 
 @seeded

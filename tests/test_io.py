@@ -65,6 +65,14 @@ def test_parse_rejects_non_ascii_digits_in_header():
     assert (err.value.line, err.value.column) == (1, 1)
 
 
+def test_parse_rejects_leading_zeros_in_header():
+    for text in ("01\n0\n", "00\n", "003\n011\n001\n100\n"):
+        with pytest.raises(ParseError, match="^line 1, column 1: order has a leading zero$"):
+            parse_tournament(text)
+    with pytest.raises(ParseError, match="^line 1, column 1: order must be at least 1$"):
+        parse_tournament("0\n")
+
+
 def test_parse_rejects_header_longer_than_int_digit_limit():
     message = "^line 1, column 1: order has 5000 digits, more than 4300$"
     with pytest.raises(ParseError, match=message):

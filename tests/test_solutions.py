@@ -10,7 +10,11 @@ from tournsol import (
     banks_set,
     banks_witness,
     bipartisan_set,
+    build_t36,
+    build_t36_variant,
     copeland_set,
+    isomorphism_class_representatives,
+    random_orientations,
     random_tournament,
     top_cycle,
     uncovered_set,
@@ -18,6 +22,7 @@ from tournsol import (
 
 from oracles import (
     oracle_banks_set,
+    oracle_banks_witness,
     oracle_bipartisan,
     oracle_copeland_set,
     oracle_top_cycle,
@@ -108,6 +113,17 @@ def test_banks_witness_contract():
                 for y in range(n)
                 if y not in group
             )
+
+
+def test_banks_witness_equals_the_list_based_search():
+    # Same witness, or None, for every vertex: the mask search keeps the
+    # list search's pivot and branch order exactly.
+    cases = [t for n in range(1, 8) for t in isomorphism_class_representatives(n)]
+    cases += [random_tournament(n, 1000 * n + s) for n in range(1, 41) for s in range(3)]
+    cases += [build_t36()] + [build_t36_variant(random_orientations(s)) for s in (1, 2, 3)]
+    for t in cases:
+        for x in range(t.order):
+            assert banks_witness(t, x) == oracle_banks_witness(t, x)
 
 
 def test_banks_witness_out_of_range():
