@@ -15,9 +15,7 @@ __all__ = [
     "Tournament",
     "chain_fit_mask",
     "is_automorphism",
-    "is_transitive_subset",
     "iter_bits",
-    "inverse_permutation",
     "maximal_transitive_subsets",
 ]
 
@@ -177,14 +175,6 @@ def _check_permutation(perm: Sequence[int], n: int) -> None:
         raise ValueError(f"not a permutation of 0..{n - 1}: {perm!r}")
 
 
-def inverse_permutation(perm: Sequence[int]) -> tuple[int, ...]:
-    _check_permutation(perm, len(perm))
-    inv = [0] * len(perm)
-    for x, y in enumerate(perm):
-        inv[y] = x
-    return tuple(inv)
-
-
 def is_automorphism(t: Tournament, perm: Sequence[int]) -> bool:
     """True iff relabelling by ``perm`` maps the tournament onto itself."""
     return t.apply_permutation(perm) == t
@@ -197,18 +187,6 @@ def _members_mask(t: Tournament, members: Iterable[int]) -> int:
             raise ValueError(f"alternative {x} outside the carrier")
         mask |= 1 << x
     return mask
-
-
-def is_transitive_subset(t: Tournament, members: Iterable[int]) -> bool:
-    """True iff the restriction to ``members`` is a linear dominance order.
-
-    A tournament on k alternatives is transitive exactly when its internal
-    Copeland scores are 0, 1, ..., k-1.
-    """
-    mask = _members_mask(t, members)
-    k = mask.bit_count()
-    scores = sorted((t.dominion_mask(x) & mask).bit_count() for x in iter_bits(mask))
-    return scores == list(range(k))
 
 
 def chain_fit_mask(t: Tournament, chain: Sequence[int], within: int) -> int:

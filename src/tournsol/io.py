@@ -25,7 +25,6 @@ __all__ = [
     "format_tournament",
     "parse_tournament",
     "read_tournament",
-    "write_tournament",
 ]
 
 
@@ -101,11 +100,6 @@ def read_tournament(path: str | os.PathLike) -> Tournament:
     # reaches the parser and is reported with its line and column.
     with open(path, "r", encoding="latin-1", newline="") as fh:
         return parse_tournament(fh.read())
-
-
-def write_tournament(t: Tournament, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(format_tournament(t))
 
 
 def export_dot(

@@ -16,7 +16,6 @@ tournaments.
 from __future__ import annotations
 
 import random
-from itertools import combinations
 from math import factorial
 
 from .core import Tournament, iter_bits
@@ -32,7 +31,6 @@ __all__ = [
     "canonical_form",
     "check_disjoint",
     "derive_seed",
-    "enumerate_labeled",
     "isomorphism_class_representatives",
     "random_tournament",
     "resolve_rule",
@@ -43,7 +41,6 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _EXHAUSTIVE_CAP = 8  # highest order an exhaustive scan accepts
 _CANONICAL_CAP = 9  # highest order canonical_form accepts
-_ENUMERATION_CAP = 6  # highest order enumerate_labeled accepts
 
 
 def splitmix64(z: int) -> int:
@@ -77,28 +74,6 @@ def random_tournament(n: int, seed: int) -> Tournament:
             else:
                 rows[y] |= 1 << x
     return Tournament._from_masks(n, rows)
-
-
-def enumerate_labeled(n: int):
-    """Yield every labelled tournament of order n exactly once.
-
-    Pair t of the lexicographic pair list (0,1), (0,2), ... orients along
-    bit t of a counter running over 2**C(n, 2) values; a set bit points
-    from the smaller alternative to the larger.
-    """
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    if n > _ENUMERATION_CAP:
-        raise ValueError(f"order {n} above enumeration cap {_ENUMERATION_CAP}")
-    pairs = list(combinations(range(n), 2))
-    for code in range(1 << len(pairs)):
-        rows = [0] * n
-        for idx, (x, y) in enumerate(pairs):
-            if code >> idx & 1:
-                rows[x] |= 1 << y
-            else:
-                rows[y] |= 1 << x
-        yield Tournament._from_masks(n, rows)
 
 
 def canonical_form(t: Tournament) -> bytes:
@@ -286,7 +261,11 @@ def resolve_rule(name: str):
 
 
 def check_disjoint(t: Tournament, rule_a: str, rule_b: str) -> bool:
-    """True iff the two rules choose disjoint sets on ``t``."""
+    """True iff the two rules choose disjoint sets on ``t``.
+
+    ``scan_separation`` calls this once per tournament, and computes both
+    choice sets again only for a witness.
+    """
     a = resolve_rule(rule_a)(t)
     b = resolve_rule(rule_b)(t)
     return not (a & b)
@@ -358,15 +337,13 @@ def scan_separation(config: ScanConfig) -> ScanOutcome:
     exactly once.
     """
     rule_a, rule_b = config.rules
-    fa = resolve_rule(rule_a)
-    fb = resolve_rule(rule_b)
     witnesses: list[ScanWitness] = []
     examined: dict[int, int] = {}
 
     def note(t: Tournament, order: int) -> None:
-        sa = fa(t)
-        sb = fb(t)
-        if not (sa & sb):
+        if check_disjoint(t, rule_a, rule_b):
+            sa = resolve_rule(rule_a)(t)
+            sb = resolve_rule(rule_b)(t)
             witnesses.append(ScanWitness(order, config.rules, format_tournament(t),
                                          (tuple(sorted(sa)), tuple(sorted(sb)))))
 

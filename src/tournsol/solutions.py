@@ -23,7 +23,6 @@ from .core import Tournament, chain_fit_mask, iter_bits
 from .games import solve_symmetric_zero_sum
 
 __all__ = [
-    "banks_member",
     "banks_set",
     "banks_witness",
     "bipartisan_set",
@@ -87,9 +86,11 @@ def banks_witness(t: Tournament, x: int) -> tuple[int, ...] | None:
     and extending greedily inside x's dominion yields a maximal transitive
     subset topped by x, so the chain is a genuine membership witness.
 
-    Search: depth-first over chains, on row masks.  Each node takes the
-    mask of dominion members that fit into the chain (``chain_fit_mask``);
-    a common dominator w of the chain plus x has as counters those that
+    Search: depth-first over chains, on row masks, with an explicit stack
+    holding one entry per chain member, so a long chain cannot exhaust
+    the interpreter's recursion limit.  Each node takes the mask of
+    dominion members that fit into the chain (``chain_fit_mask``); a
+    common dominator w of the chain plus x has as counters those that
     dominate w.  The w with the fewest counters is the pivot (ties to the
     smallest index; the first w with none refutes the node), and its
     counters are tried in ascending order, each inserted below the chain
@@ -99,44 +100,43 @@ def banks_witness(t: Tournament, x: int) -> tuple[int, ...] | None:
         raise ValueError(f"alternative {x} outside the carrier")
     dominion = t.dominion_mask(x)
     chain: list[int] = []
-
-    def search(common_dominators: int, chain_mask: int) -> bool:
-        if common_dominators == 0:
-            return True
+    # per chain member: the node that placed it as (common dominators,
+    # chain mask, counters still untried, position in the chain)
+    stack: list[tuple[int, int, int, int]] = []
+    common, chain_mask = t.dominators_mask(x), 0
+    while common:
         fit = chain_fit_mask(t, chain, dominion)
-        best, best_count = 0, t.order + 1
-        for w in iter_bits(common_dominators):
+        untried, best_count = 0, t.order + 1
+        for w in iter_bits(common):
             counters = fit & t.dominators_mask(w)
             count = counters.bit_count()
             if count < best_count:
-                best, best_count = counters, count
+                untried, best_count = counters, count
                 if not count:
                     break
-        for b in iter_bits(best):
-            dominators = t.dominators_mask(b)
-            pos = (dominators & chain_mask).bit_count()
-            chain.insert(pos, b)
-            if search(common_dominators & dominators, chain_mask | (1 << b)):
-                return True
+        while not untried:
+            if not stack:
+                return None
+            common, chain_mask, untried, pos = stack.pop()
             del chain[pos]
-        return False
-
-    if search(t.dominators_mask(x), 0):
-        witness = tuple(chain)
-        for i, b in enumerate(witness):
-            assert dominion >> b & 1, "witness leaves the dominion"
-            for lower in witness[i + 1:]:
-                assert t.dominates(b, lower), "witness chain out of order"
-        common = t.dominators_mask(x)
-        for b in witness:
-            common &= t.dominators_mask(b)
-        assert common == 0, "witness still has a common dominator"
-        return witness
-    return None
-
-
-def banks_member(t: Tournament, x: int) -> bool:
-    return banks_witness(t, x) is not None
+        low = untried & -untried
+        b = low.bit_length() - 1
+        dominators = t.dominators_mask(b)
+        pos = (dominators & chain_mask).bit_count()
+        stack.append((common, chain_mask, untried ^ low, pos))
+        chain.insert(pos, b)
+        common &= dominators
+        chain_mask |= low
+    witness = tuple(chain)
+    for i, b in enumerate(witness):
+        assert dominion >> b & 1, "witness leaves the dominion"
+        for lower in witness[i + 1:]:
+            assert t.dominates(b, lower), "witness chain out of order"
+    common = t.dominators_mask(x)
+    for b in witness:
+        common &= t.dominators_mask(b)
+    assert common == 0, "witness still has a common dominator"
+    return witness
 
 
 def banks_set(t: Tournament) -> frozenset[int]:

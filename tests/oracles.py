@@ -11,9 +11,22 @@ every relabelling.  Deliberately slow, deliberately dumb.  Nothing but
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from tournsol import Tournament
+
+
+def oracle_labeled(n: int):
+    """Every labelled tournament of order n, once: each way to orient every pair."""
+    pairs = list(combinations(range(n), 2))
+    for orientation in product((False, True), repeat=len(pairs)):
+        matrix = [[0] * n for _ in range(n)]
+        for (x, y), forward in zip(pairs, orientation):
+            if forward:
+                matrix[x][y] = 1
+            else:
+                matrix[y][x] = 1
+        yield Tournament(matrix)
 
 
 def oracle_copeland_set(t: Tournament) -> frozenset[int]:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tournsol import build_t36, classify, parse_tournament, random_tournament, write_tournament
+from tournsol import build_t36, classify, format_tournament, parse_tournament, random_tournament
 from tournsol.cli import main
 
 NINTH_LINES = [f"v0_{j}_{k} {3 * (j - 1) + (k - 1)} p=1/9" for j in (1, 2, 3) for k in (1, 2, 3)]
@@ -55,6 +55,15 @@ def test_gen_random_deterministic(capsys):
     assert parse_tournament(a) == random_tournament(8, 5)
 
 
+def test_gen_random_writes_the_formatted_bytes(tmp_path, capsys):
+    out = tmp_path / "t.txt"
+    code, text, _ = run(capsys, "gen", "random", "--n", "7", "--seed", "99", "-o", str(out))
+    assert (code, text) == (0, "")
+    raw = out.read_bytes()
+    assert raw == format_tournament(random_tournament(7, 99)).encode("ascii")
+    assert b"\r" not in raw
+
+
 def test_solve_bp_on_paper36(tmp_path, capsys):
     out = tmp_path / "t.txt"
     run(capsys, "gen", "paper36", "-o", str(out))
@@ -86,7 +95,7 @@ def test_stdin_and_file_report_a_stray_byte_alike(tmp_path, monkeypatch, capsys)
 
 def test_solve_plain_ids_on_unlabeled_input(tmp_path, capsys):
     path = tmp_path / "r.txt"
-    write_tournament(random_tournament(6, 7), path)
+    path.write_text(format_tournament(random_tournament(6, 7)))
     code, text, _ = run(capsys, "solve", str(path), "--rule", "uc")
     assert code == 0
     for line in text.splitlines():
@@ -96,7 +105,7 @@ def test_solve_plain_ids_on_unlabeled_input(tmp_path, capsys):
 def test_solve_banks_witness(tmp_path, capsys):
     path = tmp_path / "r.txt"
     t = random_tournament(7, 21)
-    write_tournament(t, path)
+    path.write_text(format_tournament(t))
     code, text, _ = run(capsys, "solve", str(path), "--rule", "banks", "--witness")
     assert code == 0
     from tournsol import banks_set
@@ -117,7 +126,7 @@ def test_solve_banks_witness(tmp_path, capsys):
 
 def test_witness_flag_rejected_outside_banks(tmp_path, capsys):
     path = tmp_path / "r.txt"
-    write_tournament(random_tournament(5, 1), path)
+    path.write_text(format_tournament(random_tournament(5, 1)))
     code, _, err = run(capsys, "solve", str(path), "--rule", "uc", "--witness")
     assert code == 2
     assert "witness" in err
@@ -125,7 +134,7 @@ def test_witness_flag_rejected_outside_banks(tmp_path, capsys):
 
 def test_solve_unknown_rule_is_usage_error(tmp_path, capsys):
     path = tmp_path / "r.txt"
-    write_tournament(random_tournament(5, 1), path)
+    path.write_text(format_tournament(random_tournament(5, 1)))
     code, _, _ = run(capsys, "solve", str(path), "--rule", "borda")
     assert code == 2
 
@@ -161,7 +170,7 @@ def test_solve_rule_choices_are_the_rule_table(tmp_path, capsys):
     assert code == 0
     assert "{" + ",".join(RULES) + "}" in text
     path = tmp_path / "r.txt"
-    write_tournament(random_tournament(5, 1), path)
+    path.write_text(format_tournament(random_tournament(5, 1)))
     for name in RULES:
         assert run(capsys, "solve", str(path), "--rule", name)[0] == 0
 
@@ -219,7 +228,7 @@ def test_verify_paper_skips_orientation_dependent_checks_on_a_variant(tmp_path, 
 
 def test_verify_paper_fails_on_random(tmp_path, capsys):
     path = tmp_path / "r.txt"
-    write_tournament(random_tournament(36, 99), path)
+    path.write_text(format_tournament(random_tournament(36, 99)))
     code, text, _ = run(capsys, "verify-paper", str(path))
     assert code == 1
     assert "FAIL" in text
@@ -227,7 +236,7 @@ def test_verify_paper_fails_on_random(tmp_path, capsys):
 
 def test_verify_paper_wrong_order(tmp_path, capsys):
     path = tmp_path / "r.txt"
-    write_tournament(random_tournament(6, 0), path)
+    path.write_text(format_tournament(random_tournament(6, 0)))
     code, _, err = run(capsys, "verify-paper", str(path))
     assert code == 2
     assert "order" in err
@@ -322,7 +331,7 @@ def test_export_dot_labeled(tmp_path, capsys):
 
 def test_export_dot_plain_for_random(tmp_path, capsys):
     src = tmp_path / "r.txt"
-    write_tournament(random_tournament(5, 3), src)
+    src.write_text(format_tournament(random_tournament(5, 3)))
     code, text, _ = run(capsys, "export-dot", str(src))
     assert code == 0
     assert "label=" not in text
@@ -341,7 +350,7 @@ def test_orbits_on_canonical(tmp_path, capsys):
 
 def test_orbits_rejects_other_tournaments(tmp_path, capsys):
     src = tmp_path / "r.txt"
-    write_tournament(random_tournament(36, 2), src)
+    src.write_text(format_tournament(random_tournament(36, 2)))
     code, _, err = run(capsys, "orbits", str(src))
     assert code == 2
     assert "paper36" in err

@@ -5,16 +5,13 @@ import pytest
 from tournsol import (
     Tournament,
     chain_fit_mask,
-    enumerate_labeled,
-    is_transitive_subset,
     iter_bits,
     maximal_transitive_subsets,
     random_tournament,
 )
-from tournsol.core import inverse_permutation
 from tournsol.search import _extensions
 
-from oracles import oracle_is_transitive, oracle_maximal_transitive_subsets
+from oracles import oracle_is_transitive, oracle_labeled, oracle_maximal_transitive_subsets
 
 CYCLE3 = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
 
@@ -68,7 +65,7 @@ def test_dominion_and_dominators_partition_everyone_else():
     randoms = [random_tournament(2 + seed % 9, seed) for seed in range(25)]
     built = list(randoms)
     built += [Tournament(t.to_rows()) for t in randoms]
-    built += [t for n in range(1, 5) for t in enumerate_labeled(n)]
+    built += [t for n in range(1, 5) for t in oracle_labeled(n)]
     built += [e for t in randoms[:5] for e in _extensions(t)]
     built += [t.restrict(range(0, t.order, 2))[0] for t in randoms]
     built += [t.apply_permutation(list(reversed(range(t.order)))) for t in randoms]
@@ -132,8 +129,9 @@ def test_apply_permutation_round_trip():
     for seed in range(10):
         t = random_tournament(7, 400 + seed)
         perm = [3, 0, 6, 1, 5, 2, 4]
+        inverse = [perm.index(y) for y in range(len(perm))]
         forward = t.apply_permutation(perm)
-        assert forward.apply_permutation(inverse_permutation(perm)) == t
+        assert forward.apply_permutation(inverse) == t
 
 
 def test_apply_permutation_rejects_non_bijection():
@@ -152,18 +150,6 @@ def test_hash_consistent_with_equality():
 def test_iter_bits():
     assert list(iter_bits(0)) == []
     assert list(iter_bits(0b10110)) == [1, 2, 4]
-
-
-def test_is_transitive_subset_matches_definition():
-    import random
-
-    rng = random.Random(77)
-    for _ in range(200):
-        n = rng.randrange(3, 9)
-        t = random_tournament(n, rng.getrandbits(32))
-        size = rng.randrange(0, n + 1)
-        subset = frozenset(rng.sample(range(n), size))
-        assert is_transitive_subset(t, subset) == oracle_is_transitive(t, subset)
 
 
 def _insert(t, chain, v):
@@ -247,7 +233,7 @@ def test_maximal_transitive_subsets_honors_cap():
 @pytest.mark.parametrize("call, message", [
     (lambda t: t.restrict([]), "restriction to the empty set"),
     (lambda t: maximal_transitive_subsets(t, []), "empty carrier subset"),
-    (lambda t: is_transitive_subset(t, [t.order]), "alternative 5 outside the carrier"),
+    (lambda t: maximal_transitive_subsets(t, [t.order]), "alternative 5 outside the carrier"),
 ])
 def test_validation_errors(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+from oracles import oracle_labeled
+
 ORACLES = Path(__file__).with_name("oracles.py")
 
 
@@ -15,3 +17,9 @@ def test_oracles_import_only_tournament_from_the_library():
         elif isinstance(node, ast.Import):
             imported += [a.name for a in node.names if a.name.split(".")[0] == "tournsol"]
     assert imported == ["tournsol.Tournament"]
+
+
+def test_oracle_labeled_yields_each_labelled_tournament_once():
+    for n in range(1, 6):
+        tournaments = list(oracle_labeled(n))
+        assert len(tournaments) == len(set(tournaments)) == 2 ** (n * (n - 1) // 2)

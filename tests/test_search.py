@@ -10,16 +10,18 @@ from tournsol import (
     ScanOutcome,
     Tournament,
     automorphism_count,
+    bipartisan_set,
     canonical_form,
+    copeland_set,
     derive_seed,
-    enumerate_labeled,
     isomorphism_class_representatives,
+    parse_tournament,
     random_tournament,
     scan_separation,
 )
 from tournsol.search import check_disjoint, resolve_rule, splitmix64
 
-from oracles import oracle_canonical_form
+from oracles import oracle_canonical_form, oracle_labeled
 
 # unlabeled tournament counts, a classical sequence
 CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56}
@@ -50,16 +52,6 @@ def test_random_tournament_rejects_bad_order():
         random_tournament(0, 1)
 
 
-def test_enumerate_labeled_counts():
-    for n in range(1, 6):
-        assert sum(1 for _ in enumerate_labeled(n)) == 2 ** (n * (n - 1) // 2)
-
-
-def test_enumerate_labeled_cap():
-    with pytest.raises(ValueError):
-        list(enumerate_labeled(7))
-
-
 def test_canonical_form_is_relabeling_invariant():
     rng = random.Random(404)
     for _ in range(60):
@@ -72,13 +64,13 @@ def test_canonical_form_is_relabeling_invariant():
 
 def test_canonical_form_separates_classes():
     for n in range(1, 6):
-        forms = {canonical_form(t) for t in enumerate_labeled(n)}
+        forms = {canonical_form(t) for t in oracle_labeled(n)}
         assert len(forms) == CLASS_COUNTS[n]
 
 
 def test_canonical_form_matches_the_oracle():
     for n in range(1, 6):
-        for t in enumerate_labeled(n):
+        for t in oracle_labeled(n):
             assert canonical_form(t) == oracle_canonical_form(t)
     rng = random.Random(606)
     for n in (6, 6, 6, 6, 7, 7):
@@ -176,6 +168,27 @@ def test_check_disjoint():
     assert not check_disjoint(chain3, "uc", "bp")
 
 
+# the first witness of `scan --rules copeland,bp --mode exhaustive --max-order 8`
+COPELAND_BP_WITNESS = """8
+01111000
+00111100
+00011011
+00001001
+00000001
+10111000
+11011100
+11000110
+"""
+
+
+def test_copeland_and_bp_separate_on_the_scan_witness():
+    t = parse_tournament(COPELAND_BP_WITNESS)
+    assert check_disjoint(t, "copeland", "bp")
+    assert copeland_set(t) == {6}
+    assert bipartisan_set(t)[0] == {0, 1, 2, 5, 7}
+    assert not check_disjoint(t, "banks", "bp")
+
+
 def test_scan_config_positional_keyword_and_defaults():
     positional = ScanConfig(("banks", "bp"), 5)
     keyword = ScanConfig(rules=("banks", "bp"), max_order=5)
@@ -243,8 +256,6 @@ def test_scan_witness_round_trip_on_artificial_rules(monkeypatch):
     assert outcome.witnesses, "order-2 chain separates best from worst"
     w = outcome.witnesses[0]
     assert w.order == 2
-    from tournsol import parse_tournament
-
     reloaded = parse_tournament(w.text)
     sa, sb = w.choice_sets
     assert set(sa) & set(sb) == set()
@@ -252,7 +263,7 @@ def test_scan_witness_round_trip_on_artificial_rules(monkeypatch):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: list(enumerate_labeled(0)), "order must be at least 1"),
+    (lambda: random_tournament(0, 0), "order must be at least 1"),
     (lambda: isomorphism_class_representatives(0), "order must be at least 1"),
 ])
 def test_validation_errors(call, message):
