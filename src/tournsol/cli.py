@@ -114,16 +114,12 @@ def _cmd_solve(args) -> int:
         for v in sorted(support):
             print(f"{_render(v, labeled)} p={lottery[v]}")
         return 0
-    if args.rule == "banks":
+    if args.witness:
         for v in range(t.order):
             chain = banks_witness(t, v)
-            if chain is None:
-                continue
-            if args.witness:
+            if chain is not None:
                 shown = ",".join(_render(c, labeled) for c in chain) if chain else "(empty)"
                 print(f"{_render(v, labeled)} witness={shown}")
-            else:
-                print(_render(v, labeled))
         return 0
     for v in sorted(RULES[args.rule](t)):
         print(_render(v, labeled))

@@ -13,7 +13,6 @@ from collections.abc import Iterable, Sequence
 
 __all__ = [
     "Tournament",
-    "chain_fit_mask",
     "is_automorphism",
     "iter_bits",
     "maximal_transitive_subsets",
@@ -189,26 +188,6 @@ def _members_mask(t: Tournament, members: Iterable[int]) -> int:
     return mask
 
 
-def chain_fit_mask(t: Tournament, chain: Sequence[int], within: int) -> int:
-    """Mask of the members of ``within`` that fit into a dominance chain.
-
-    ``chain`` lists alternatives top down (each dominates all later ones).
-    v fits at position i iff every chain member before i dominates v and v
-    dominates every chain member from i on; the fit mask is the union of
-    those sets over all positions.  That position is then the number of
-    chain members dominating v, and no chain member fits.
-    """
-    tails = [within]  # tails[k]: what in ``within`` beats the last k members
-    for c in reversed(chain):
-        tails.append(tails[-1] & t.dominators_mask(c))
-    head = within  # dominated by every member so far
-    fit = 0
-    for c, tail in zip(chain, reversed(tails)):
-        fit |= head & tail
-        head &= t.dominion_mask(c)
-    return fit | head
-
-
 def maximal_transitive_subsets(
     t: Tournament,
     within: Iterable[int] | None = None,
@@ -219,7 +198,11 @@ def maximal_transitive_subsets(
     Enumeration walks dominance chains top down, extending a chain only by
     alternatives dominated by every current member, so each transitive set
     is produced exactly once.  A set is recorded when nothing below extends
-    it and no outside alternative can be inserted at any position.
+    it and no outside alternative can be inserted at any position.  The
+    mask of members that could be inserted is passed down the recursion:
+    a fitting alternative sits directly below the chain members that beat
+    it, so appending c below the last member l takes out only c and what
+    beats l but loses to c.
 
     Raises ValueError when ``within`` has more than ``_TRANSITIVE_CAP``
     members; the subset count can grow exponentially.
@@ -237,16 +220,19 @@ def maximal_transitive_subsets(
     results: list[frozenset[int]] = []
     chain: list[int] = []
 
-    def grow(cand_mask: int) -> None:
+    def grow(cand_mask: int, fit: int) -> None:
         if cand_mask == 0:
-            if chain_fit_mask(t, chain, within_mask) == 0:
+            if fit == 0:
                 results.append(frozenset(chain))
             return
         for c in iter_bits(cand_mask):
+            after = fit & ~(1 << c)
+            if chain:
+                after &= ~(t.dominators_mask(chain[-1]) & t.dominion_mask(c))
             chain.append(c)
-            grow(cand_mask & t.dominion_mask(c))
+            grow(cand_mask & t.dominion_mask(c), after)
             chain.pop()
 
-    grow(within_mask)
+    grow(within_mask, within_mask)
     results.sort(key=sorted)
     return results

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Tournament, chain_fit_mask, iter_bits
+from .core import Tournament, iter_bits
 from .games import solve_symmetric_zero_sum
 
 __all__ = [
@@ -88,24 +88,27 @@ def banks_witness(t: Tournament, x: int) -> tuple[int, ...] | None:
 
     Search: depth-first over chains, on row masks, with an explicit stack
     holding one entry per chain member, so a long chain cannot exhaust
-    the interpreter's recursion limit.  Each node takes the mask of
-    dominion members that fit into the chain (``chain_fit_mask``); a
-    common dominator w of the chain plus x has as counters those that
-    dominate w.  The w with the fewest counters is the pivot (ties to the
-    smallest index; the first w with none refutes the node), and its
-    counters are tried in ascending order, each inserted below the chain
-    members that dominate it.  So a witness, like a None, is deterministic.
+    the interpreter's recursion limit.  Each entry also keeps the mask of
+    dominion members that fit into the chain, and a pop restores it.  A
+    fitting alternative sits directly below the chain members that beat
+    it, so inserting b between neighbours a above and c below changes the
+    mask only through them: what beats a must also beat b, and what c
+    beats must lose to b.  A common dominator w of the chain plus x has
+    as counters the fitting members that dominate w.  The w with the
+    fewest counters is the pivot (ties to the smallest index; the first w
+    with none refutes the node), and its counters are tried in ascending
+    order, each inserted below the chain members that dominate it.  So a
+    witness, like a None, is deterministic.
     """
     if x < 0 or x >= t.order:
         raise ValueError(f"alternative {x} outside the carrier")
     dominion = t.dominion_mask(x)
     chain: list[int] = []
     # per chain member: the node that placed it as (common dominators,
-    # chain mask, counters still untried, position in the chain)
-    stack: list[tuple[int, int, int, int]] = []
-    common, chain_mask = t.dominators_mask(x), 0
+    # chain mask, counters still untried, position in the chain, fit mask)
+    stack: list[tuple[int, int, int, int, int]] = []
+    common, chain_mask, fit = t.dominators_mask(x), 0, dominion
     while common:
-        fit = chain_fit_mask(t, chain, dominion)
         untried, best_count = 0, t.order + 1
         for w in iter_bits(common):
             counters = fit & t.dominators_mask(w)
@@ -117,21 +120,27 @@ def banks_witness(t: Tournament, x: int) -> tuple[int, ...] | None:
         while not untried:
             if not stack:
                 return None
-            common, chain_mask, untried, pos = stack.pop()
+            common, chain_mask, untried, pos, fit = stack.pop()
             del chain[pos]
         low = untried & -untried
         b = low.bit_length() - 1
         dominators = t.dominators_mask(b)
         pos = (dominators & chain_mask).bit_count()
-        stack.append((common, chain_mask, untried ^ low, pos))
+        stack.append((common, chain_mask, untried ^ low, pos, fit))
+        fit ^= low
+        if pos:
+            fit &= ~(t.dominators_mask(chain[pos - 1]) & t.dominion_mask(b))
+        if pos < len(chain):
+            fit &= ~(t.dominion_mask(chain[pos]) & dominators)
         chain.insert(pos, b)
         common &= dominators
         chain_mask |= low
     witness = tuple(chain)
-    for i, b in enumerate(witness):
+    below = 0
+    for b in reversed(witness):
         assert dominion >> b & 1, "witness leaves the dominion"
-        for lower in witness[i + 1:]:
-            assert t.dominates(b, lower), "witness chain out of order"
+        assert t.dominion_mask(b) & below == below, "witness chain out of order"
+        below |= 1 << b
     common = t.dominators_mask(x)
     for b in witness:
         common &= t.dominators_mask(b)

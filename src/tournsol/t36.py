@@ -127,9 +127,8 @@ def _subject_decisions(
             return [True]
         if i2 == _PREV[j1]:
             return [k1 == j2]
-        if i2 == _NEXT[j1]:
-            return [k1 == k2]
-        return []
+        # i2 lies in {1, 2, 3} = {j1, _PREV[j1], _NEXT[j1]}: here i2 == _NEXT[j1]
+        return [k1 == k2]
     if i2 == 0:
         return []
     if i2 == _PREV[i1]:

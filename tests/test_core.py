@@ -3,15 +3,19 @@
 import pytest
 
 from tournsol import (
+    CENTER,
     Tournament,
-    chain_fit_mask,
+    block,
+    build_t36,
+    isomorphism_class_representatives,
     iter_bits,
     maximal_transitive_subsets,
     random_tournament,
+    triangle,
 )
 from tournsol.search import _extensions
 
-from oracles import oracle_is_transitive, oracle_labeled, oracle_maximal_transitive_subsets
+from oracles import oracle_labeled, oracle_maximal_transitive_subsets
 
 CYCLE3 = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
 
@@ -152,59 +156,6 @@ def test_iter_bits():
     assert list(iter_bits(0b10110)) == [1, 2, 4]
 
 
-def _insert(t, chain, v):
-    # A fitting alternative goes in below the chain members that dominate it.
-    chain.insert(sum(t.dominates(c, v) for c in chain), v)
-
-
-def test_chain_fit_mask_produces_a_chain():
-    import random
-
-    rng = random.Random(99)
-    for _ in range(150):
-        n = rng.randrange(3, 9)
-        t = random_tournament(n, rng.getrandbits(32))
-        everyone = (1 << n) - 1
-        chain = []
-        order = list(range(n))
-        rng.shuffle(order)
-        for v in order:
-            fit = chain_fit_mask(t, chain, everyone)
-            for u in range(n):
-                # v fits iff chain + v is transitive; chain members never fit
-                assert (fit >> u & 1) == (u not in chain and oracle_is_transitive(t, chain + [u]))
-            if not fit >> v & 1:
-                continue
-            _insert(t, chain, v)
-            # chain stays top-down transitive after every insertion
-            for i, hi in enumerate(chain):
-                for lo in chain[i + 1:]:
-                    assert t.dominates(hi, lo)
-
-
-def test_chain_fit_mask_empty_only_when_no_slot_works():
-    import random
-
-    rng = random.Random(5)
-    for _ in range(80):
-        t = random_tournament(7, rng.getrandbits(32))
-        within = rng.getrandbits(7)
-        chain = []
-        for v in (0, 3, 6):
-            if chain_fit_mask(t, chain, 0b1111111) >> v & 1:
-                _insert(t, chain, v)
-        fit = chain_fit_mask(t, chain, within)
-        assert fit & ~within == 0
-        v = 5
-        fits_somewhere = any(
-            all(t.dominates(h, v) for h in chain[:i])
-            and all(t.dominates(v, l) for l in chain[i:])
-            for i in range(len(chain) + 1)
-        )
-        assert bool(fit >> v & 1) == (fits_somewhere and bool(within >> v & 1))
-        assert bool(chain_fit_mask(t, chain, 1 << v)) == fits_somewhere
-
-
 def test_maximal_transitive_subsets_match_oracle():
     for seed in range(30):
         n = 3 + seed % 5
@@ -221,6 +172,22 @@ def test_maximal_transitive_subsets_within_restriction():
         assert got == set(oracle_maximal_transitive_subsets(t, within))
         for s in got:
             assert s <= within
+
+
+def test_maximal_transitive_subsets_list_equals_the_sorted_oracle():
+    # Compared as lists, so order and duplicates count as well as members.
+    import random
+
+    cases = [(t, None) for n in range(1, 8) for t in isomorphism_class_representatives(n)]
+    rng = random.Random(12)
+    for _ in range(10):
+        t = random_tournament(12, rng.getrandbits(32))
+        cases.append((t, rng.sample(range(12), rng.randint(6, 12))))
+    t36 = build_t36()  # the two subsets verify-paper enumerates
+    cases += [(t36, CENTER), (t36, triangle(0, 1) | block(3))]
+    for t, within in cases:
+        expected = sorted(oracle_maximal_transitive_subsets(t, within), key=sorted)
+        assert maximal_transitive_subsets(t, within) == expected
 
 
 def test_maximal_transitive_subsets_honors_cap():

@@ -134,21 +134,37 @@ def test_condorcet_winner_needs_no_chain():
     assert banks_witness(CHAIN4, 0) == ()
 
 
-def test_banks_witness_longer_than_the_recursion_limit():
+def _deep_chain(d):
     # Vertex 0 beats the chain b_1 > ... > b_d (vertices 1..d); w_1 > ... > w_d
     # (vertices d+1..2d) beat 0, and b_i beats only w_i among the w's.  Each
     # w_i is then dominated by nothing but b_i, so 0's one witness is the
-    # whole chain, deeper than a search that recursed per chain member
-    # could go.
-    d = 1100
+    # whole chain.
     chain = ((1 << d) - 1) << 1
     rows = [chain]
     for i in range(1, d + 1):
         rows.append(chain >> (i + 1) << (i + 1) | 1 << (d + i))
     for i in range(1, d + 1):
         rows.append(1 | chain ^ 1 << i | chain >> (i + 1) << (d + i + 1))
-    t = Tournament._from_masks(2 * d + 1, rows)
-    assert banks_witness(t, 0) == tuple(range(1, d + 1))
+    return Tournament._from_masks(2 * d + 1, rows)
+
+
+def test_banks_witness_longer_than_the_recursion_limit():
+    # Deeper than a search that recursed per chain member could go.
+    assert banks_witness(_deep_chain(1100), 0) == tuple(range(1, 1101))
+
+
+def test_banks_witness_equals_the_list_search_on_relabelled_deep_chains():
+    # Shuffled labels make the search insert counters mid-chain, not only
+    # at the bottom, so the kept fit mask is updated from both neighbours.
+    import random
+
+    for d in (5, 10, 20, 30, 40):
+        for seed in range(3):
+            perm = list(range(2 * d + 1))
+            random.Random(100 * d + seed).shuffle(perm)
+            t = _deep_chain(d).apply_permutation(perm)
+            for x in range(t.order):
+                assert banks_witness(t, x) == oracle_banks_witness(t, x)
 
 
 def test_top_cycle_is_strongly_connected_and_dominant():
