@@ -13,7 +13,7 @@ import sys
 
 from . import t36
 from .io import export_dot, format_tournament, parse_tournament, read_tournament
-from .search import RULES, ScanConfig, random_tournament, scan_separation
+from .search import RULES, random_tournament, scan_separation
 from .solutions import banks_witness, bipartisan_set
 
 __all__ = ["main"]
@@ -156,21 +156,20 @@ def _cmd_scan(args) -> int:
     if args.mode == "exhaustive" and (args.samples is not None or args.seed is not None):
         print("error: --samples/--seed apply only to --mode random", file=sys.stderr)
         return 2
-    config = ScanConfig(
-        rules, args.max_order, args.mode,  # type: ignore[arg-type]
-        sample_count=args.samples if args.samples is not None else 1000,
-        seed=args.seed if args.seed is not None else 0,
-    )
     try:
-        outcome = scan_separation(config)
+        outcome = scan_separation(
+            rules, args.max_order, args.mode,  # type: ignore[arg-type]
+            sample_count=args.samples if args.samples is not None else 1000,
+            seed=args.seed if args.seed is not None else 0,
+        )
     except (OverflowError, MemoryError):  # exhaustive orders stop at 8
         raise ValueError(f"--max-order {args.max_order} is too large to build") from None
-    for order in outcome.orders:
+    for order, count in outcome.examined.items():
         if outcome.labeled_counts is not None:
-            print(f"order {order}: {outcome.examined[order]} classes covering "
+            print(f"order {order}: {count} classes covering "
                   f"{outcome.labeled_counts[order]} labelled tournaments")
         else:
-            print(f"order {order}: {outcome.examined[order]} samples")
+            print(f"order {order}: {count} samples")
     for w in outcome.witnesses:
         a, b = w.rules
         sa, sb = w.choice_sets

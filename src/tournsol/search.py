@@ -24,7 +24,6 @@ from .solutions import banks_set, bipartisan_set, copeland_set, top_cycle, uncov
 
 __all__ = [
     "RULES",
-    "ScanConfig",
     "ScanOutcome",
     "ScanWitness",
     "automorphism_count",
@@ -61,10 +60,13 @@ def random_tournament(n: int, seed: int) -> Tournament:
 
     Pairs (x, y) with x < y are visited in lexicographic order and
     oriented by one bit from ``random.Random(seed)``; a set bit points
-    from x to y.
+    from x to y.  The seed must be nonnegative: ``random.Random`` seeds
+    with the absolute value, so -s would draw the same tournament as s.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = random.Random(seed)
     rows = [0] * n
     for x in range(n):
@@ -271,39 +273,6 @@ def check_disjoint(t: Tournament, rule_a: str, rule_b: str) -> bool:
     return not (a & b)
 
 
-class ScanConfig:
-    """Parameters of a separation scan.
-
-    Exhaustive mode visits one representative per isomorphism class for
-    every order up to ``max_order``; random mode draws ``sample_count``
-    tournaments of order ``max_order`` from streams derived from ``seed``.
-    """
-
-    __slots__ = ("rules", "max_order", "mode", "sample_count", "seed")
-
-    def __init__(self, rules: tuple[str, str], max_order: int, mode: str = "exhaustive",
-                 sample_count: int = 0, seed: int = 0) -> None:
-        if len(rules) != 2:
-            raise ValueError("exactly two rules required")
-        for name in rules:
-            resolve_rule(name)
-        if mode not in ("exhaustive", "random"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if max_order < 1:
-            raise ValueError("max_order must be at least 1")
-        if mode == "exhaustive" and max_order > _EXHAUSTIVE_CAP:
-            raise ValueError(
-                f"exhaustive scan above order {_EXHAUSTIVE_CAP} not supported"
-            )
-        if mode == "random" and sample_count < 1:
-            raise ValueError("random mode needs sample_count >= 1")
-        self.rules = rules
-        self.max_order = max_order
-        self.mode = mode
-        self.sample_count = sample_count
-        self.seed = seed
-
-
 class ScanWitness:
     __slots__ = ("order", "rules", "text", "choice_sets")
 
@@ -316,49 +285,59 @@ class ScanWitness:
 
 
 class ScanOutcome:
-    __slots__ = ("orders", "examined", "labeled_counts", "witnesses")
+    __slots__ = ("examined", "labeled_counts", "witnesses")
 
-    def __init__(self, orders: tuple[int, ...], examined: dict[int, int],
-                 labeled_counts: dict[int, int] | None,
+    def __init__(self, examined: dict[int, int], labeled_counts: dict[int, int] | None,
                  witnesses: tuple[ScanWitness, ...] = ()) -> None:
-        self.orders = orders
-        self.examined = examined  # classes (exhaustive) or samples (random) per order
+        self.examined = examined  # classes (exhaustive) or samples (random) per order, ascending
         self.labeled_counts = labeled_counts  # exhaustive: labelled tournaments covered
         self.witnesses = witnesses
 
 
-def scan_separation(config: ScanConfig) -> ScanOutcome:
-    """Search the configured space for tournaments separating the two rules.
+def scan_separation(rules: tuple[str, str], max_order: int, mode: str = "exhaustive",
+                    sample_count: int = 0, seed: int = 0) -> ScanOutcome:
+    """Search for tournaments on which the two rules choose disjoint sets.
 
-    A witness is a tournament on which the two rules choose disjoint
-    sets.  In exhaustive mode the per-order class lists are certified:
-    the orbit sizes n!/|Aut| of the representatives must add up to
-    2**C(n, 2), which proves every labelled tournament is accounted for
-    exactly once.
+    Exhaustive mode visits one representative per isomorphism class for
+    every order up to ``max_order``; its per-order class lists are
+    certified: the orbit sizes n!/|Aut| of the representatives must add
+    up to 2**C(n, 2), which proves every labelled tournament is
+    accounted for exactly once.  Random mode draws ``sample_count``
+    tournaments of order ``max_order`` from streams derived from
+    ``seed``.  Every parameter is checked before any tournament is built.
     """
-    rule_a, rule_b = config.rules
+    if len(rules) != 2:
+        raise ValueError("exactly two rules required")
+    for name in rules:
+        resolve_rule(name)
+    if mode not in ("exhaustive", "random"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if max_order < 1:
+        raise ValueError("max_order must be at least 1")
+    if mode == "exhaustive" and max_order > _EXHAUSTIVE_CAP:
+        raise ValueError(f"exhaustive scan above order {_EXHAUSTIVE_CAP} not supported")
+    if mode == "random" and sample_count < 1:
+        raise ValueError("random mode needs sample_count >= 1")
+    rule_a, rule_b = rules
     witnesses: list[ScanWitness] = []
-    examined: dict[int, int] = {}
 
     def note(t: Tournament, order: int) -> None:
         if check_disjoint(t, rule_a, rule_b):
             sa = resolve_rule(rule_a)(t)
             sb = resolve_rule(rule_b)(t)
-            witnesses.append(ScanWitness(order, config.rules, format_tournament(t),
+            witnesses.append(ScanWitness(order, rules, format_tournament(t),
                                          (tuple(sorted(sa)), tuple(sorted(sb)))))
 
-    if config.mode == "random":
-        order = config.max_order
-        for i in range(config.sample_count):
-            note(random_tournament(order, derive_seed(config.seed, i)), order)
-        examined[order] = config.sample_count
-        return ScanOutcome((order,), examined, None, tuple(witnesses))
+    if mode == "random":
+        for i in range(sample_count):
+            note(random_tournament(max_order, derive_seed(seed, i)), max_order)
+        return ScanOutcome({max_order: sample_count}, None, tuple(witnesses))
 
+    examined: dict[int, int] = {}
     labeled_counts: dict[int, int] = {}
-    for order, reps, covered in _certified_class_walk(config.max_order):
+    for order, reps, covered in _certified_class_walk(max_order):
         labeled_counts[order] = covered
         examined[order] = len(reps)
         for r in reps:
             note(r, order)
-    return ScanOutcome(tuple(range(1, config.max_order + 1)), examined, labeled_counts,
-                       tuple(witnesses))
+    return ScanOutcome(examined, labeled_counts, tuple(witnesses))

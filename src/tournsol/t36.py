@@ -179,8 +179,12 @@ def random_orientations(seed: int) -> dict[tuple[int, int], int]:
     """Deterministic random orientation assignment for the outer triangles.
 
     Draws one value in 0..7 per triangle from ``random.Random(seed)``
-    (Mersenne Twister), triangles in OUTER_TRIANGLES order.
+    (Mersenne Twister), triangles in OUTER_TRIANGLES order.  The seed
+    must be nonnegative: ``random.Random`` seeds with the absolute value,
+    so -s would draw the same orientations as s.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = random.Random(seed)
     return {key: rng.randrange(8) for key in OUTER_TRIANGLES}
 

@@ -36,7 +36,6 @@ from tournsol import (
     verify_t36,
 )
 from tournsol.cli import main
-from tournsol.search import ScanConfig
 from tournsol.t36 import CYCLIC_ORIENTATION, OUTER_TRIANGLES, block, triangle
 
 from oracles import oracle_banks_set, oracle_bipartisan, oracle_labeled
@@ -218,9 +217,7 @@ def test_c12_bipartisan_oracle_equivalence():
 
 def test_c13_exhaustive_separation_scan():
     start = time.perf_counter()
-    outcome = scan_separation(
-        ScanConfig(rules=("banks", "bp"), max_order=7, mode="exhaustive")
-    )
+    outcome = scan_separation(("banks", "bp"), 7, "exhaustive")
     elapsed = time.perf_counter() - start
     assert outcome.examined == {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56, 7: 456}
     assert outcome.labeled_counts == {

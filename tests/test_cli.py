@@ -55,6 +55,25 @@ def test_gen_random_deterministic(capsys):
     assert parse_tournament(a) == random_tournament(8, 5)
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "random", "--n", "12", "--seed", "-5"),
+    ("gen", "paper36", "--variant-seed", "-7"),
+])
+def test_gen_rejects_a_negative_seed(argv, capsys):
+    # random.Random(-s) draws the same stream as random.Random(s)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: seed must be nonnegative, got {argv[-1]}\n"
+
+
+def test_gen_accepts_seed_zero(capsys):
+    code, text, _ = run(capsys, "gen", "random", "--n", "6", "--seed", "0")
+    assert code == 0
+    assert parse_tournament(text) == random_tournament(6, 0)
+    code, text, _ = run(capsys, "gen", "paper36", "--variant-seed", "0")
+    assert code == 0 and classify(parse_tournament(text)) is not None
+
+
 def test_gen_random_writes_the_formatted_bytes(tmp_path, capsys):
     out = tmp_path / "t.txt"
     code, text, _ = run(capsys, "gen", "random", "--n", "7", "--seed", "99", "-o", str(out))
@@ -391,4 +410,17 @@ def test_banks_witness_output_bytes_are_pinned(tmp_path, capsys, gen_args, diges
     assert run(capsys, "gen", *gen_args, "-o", str(path))[0] == 0
     code, out, err = run(capsys, "solve", str(path), "--rule", "banks", "--witness")
     assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", [
+    (("--rules", "banks,bp", "--mode", "exhaustive", "--max-order", "6"), 0,
+     "277e91d640c1fc72cc33a7cb4d0b6461490af18fac64df59348f69419f46c27c"),
+    (("--rules", "bipartisan,copeland", "--mode", "random", "--max-order", "8",
+      "--samples", "300", "--seed", "1"), 1,
+     "a6043e38ad846ac7b8a366b4365c6807ab553a21d2fe459b9123c8e7fb8468a3"),
+])
+def test_scan_output_bytes_are_pinned(argv, exit_code, digest, capsys):
+    code, out, err = run(capsys, "scan", *argv)
+    assert (code, err) == (exit_code, "")
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest

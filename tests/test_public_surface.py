@@ -7,7 +7,7 @@ MODULES = (core, games, io, search, solutions, t36)
 
 PUBLIC = [
     "CENTER", "CYCLIC_ORIENTATION", "CheckResult", "InvariantError", "OUTER_TRIANGLES",
-    "ParseError", "RULES", "ScanConfig", "ScanOutcome", "ScanWitness", "Tournament",
+    "ParseError", "RULES", "ScanOutcome", "ScanWitness", "Tournament",
     "VerificationReport", "automorphism_count", "banks_set", "banks_witness",
     "bipartisan_set", "block", "build_t36", "build_t36_variant", "canonical_form",
     "check_disjoint", "classify", "copeland_set", "derive_seed",

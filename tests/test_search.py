@@ -6,7 +6,6 @@ import random
 import pytest
 
 from tournsol import (
-    ScanConfig,
     ScanOutcome,
     Tournament,
     automorphism_count,
@@ -139,8 +138,7 @@ def test_representatives_are_the_classes_the_scan_examines(monkeypatch):
         return frozenset(range(t.order))
 
     monkeypatch.setitem(search_mod.RULES, "everything", everything)
-    scan_separation(ScanConfig(rules=("copeland", "everything"), max_order=6,
-                               mode="exhaustive"))
+    scan_separation(("copeland", "everything"), 6, "exhaustive")
     for n in range(1, 7):
         assert [t for t in examined if t.order == n] == isomorphism_class_representatives(n)
 
@@ -189,18 +187,31 @@ def test_copeland_and_bp_separate_on_the_scan_witness():
     assert not check_disjoint(t, "banks", "bp")
 
 
-def test_scan_config_positional_keyword_and_defaults():
-    positional = ScanConfig(("banks", "bp"), 5)
-    keyword = ScanConfig(rules=("banks", "bp"), max_order=5)
-    for config in (positional, keyword):
-        assert config.rules == ("banks", "bp") and config.max_order == 5
-        assert (config.mode, config.sample_count, config.seed) == ("exhaustive", 0, 0)
-    config = ScanConfig(("uc", "tc"), 7, "random", 40, 11)
-    assert (config.rules, config.max_order, config.mode, config.sample_count, config.seed) == (
-        ("uc", "tc"), 7, "random", 40, 11)
+def test_scan_positional_keyword_and_defaults():
+    positional = scan_separation(("bipartisan", "copeland"), 8, "random", 300, 1)
+    keyword = scan_separation(rules=("bipartisan", "copeland"), max_order=8, mode="random",
+                              sample_count=300, seed=1)
+    assert positional.examined == keyword.examined == {8: 300}
+    assert positional.labeled_counts is keyword.labeled_counts is None
+    assert len(positional.witnesses) == 1
+    assert [(w.text, w.choice_sets) for w in positional.witnesses] == [
+        (w.text, w.choice_sets) for w in keyword.witnesses]
+    default = scan_separation(("banks", "bp"), 5)  # exhaustive, as if sample_count=0, seed=0
+    explicit = scan_separation(("banks", "bp"), 5, "exhaustive", 0, 0)
+    assert default.examined == explicit.examined == {n: CLASS_COUNTS[n] for n in range(1, 6)}
+    assert default.labeled_counts == explicit.labeled_counts == {
+        n: 2 ** (n * (n - 1) // 2) for n in range(1, 6)}
+    assert default.witnesses == explicit.witnesses == ()
 
 
-def test_scan_config_validation():
+def test_scan_validation_runs_before_any_work(monkeypatch):
+    import tournsol.search as search_mod
+
+    def no_work(*args):
+        raise AssertionError("the scan built a tournament before checking its parameters")
+
+    monkeypatch.setattr(search_mod, "_certified_class_walk", no_work)
+    monkeypatch.setattr(search_mod, "random_tournament", no_work)
     cases = [
         (dict(rules=("banks",), max_order=5), "^exactly two rules required$"),
         (dict(rules=("banks", "bp"), max_order=0), "^max_order must be at least 1$"),
@@ -214,17 +225,16 @@ def test_scan_config_validation():
     ]
     for kwargs, message in cases:
         with pytest.raises(ValueError, match=message):
-            ScanConfig(**kwargs)
+            scan_separation(**kwargs)
 
 
 def test_scan_outcome_has_no_witnesses_by_default():
-    assert ScanOutcome((1,), {1: 1}, None).witnesses == ()
+    assert ScanOutcome({1: 1}, None).witnesses == ()
 
 
 def test_exhaustive_scan_small_orders():
-    config = ScanConfig(rules=("copeland", "tc"), max_order=5, mode="exhaustive")
-    outcome = scan_separation(config)
-    assert outcome.orders == tuple(range(1, 6))
+    outcome = scan_separation(("copeland", "tc"), 5, "exhaustive")
+    assert list(outcome.examined) == list(range(1, 6))
     assert outcome.witnesses == ()
     assert outcome.labeled_counts is not None
     for n in range(1, 6):
@@ -233,14 +243,11 @@ def test_exhaustive_scan_small_orders():
 
 
 def test_random_scan_is_deterministic():
-    config = ScanConfig(
-        rules=("banks", "bp"), max_order=7, mode="random", sample_count=40, seed=11
-    )
-    a = scan_separation(config)
-    b = scan_separation(config)
+    a = scan_separation(("banks", "bp"), 7, "random", sample_count=40, seed=11)
+    b = scan_separation(("banks", "bp"), 7, "random", sample_count=40, seed=11)
     assert a.examined == b.examined == {7: 40}
     assert a.witnesses == b.witnesses == ()
-    assert a.labeled_counts is None and a.orders == (7,)
+    assert a.labeled_counts is None
 
 
 def test_scan_witness_round_trip_on_artificial_rules(monkeypatch):
@@ -251,8 +258,7 @@ def test_scan_witness_round_trip_on_artificial_rules(monkeypatch):
         return frozenset({min(range(t.order), key=lambda v: (t.copeland_score(v), v))})
 
     monkeypatch.setitem(search_mod.RULES, "bottom", bottom)
-    config = ScanConfig(rules=("copeland", "bottom"), max_order=2, mode="exhaustive")
-    outcome = scan_separation(config)
+    outcome = scan_separation(("copeland", "bottom"), 2, "exhaustive")
     assert outcome.witnesses, "order-2 chain separates best from worst"
     w = outcome.witnesses[0]
     assert w.order == 2
@@ -264,6 +270,7 @@ def test_scan_witness_round_trip_on_artificial_rules(monkeypatch):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: random_tournament(0, 0), "order must be at least 1"),
+    (lambda: random_tournament(5, -5), "seed must be nonnegative, got -5"),
     (lambda: isomorphism_class_representatives(0), "order must be at least 1"),
 ])
 def test_validation_errors(call, message):

@@ -259,6 +259,8 @@ def test_dominion_of_corner_center_vertex():
 @pytest.mark.parametrize("call, message", [
     (lambda: vertex_coords(36), "alternative 36 outside 0..35"),
     (lambda: block(4), "block 4 outside 0..3"),
+    # random.Random(-7) would draw the same orientations as random.Random(7)
+    (lambda: random_orientations(-7), "seed must be nonnegative, got -7"),
 ])
 def test_validation_errors(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
