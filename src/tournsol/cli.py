@@ -129,23 +129,22 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     t = _read(args.file) if args.file is not None else t36.build_t36()
     report = t36.verify_t36(t)
-    for check in report.checks:
-        if check.status == "skipped":
-            print(f"SKIP {check.name} ({check.details.get('reason', '')})")
+    for check in report["checks"]:
+        if check["status"] == "skipped":
+            print(f"SKIP {check['name']} ({check['details']['reason']})")
         else:
-            print(f"{check.status.upper():4s} {check.name}")
-    passed = sum(c.status == "pass" for c in report.checks)
-    failed = sum(c.status == "fail" for c in report.checks)
-    skipped = sum(c.status == "skipped" for c in report.checks)
-    print(f"result: {'PASS' if report.passed else 'FAIL'} "
-          f"({passed} passed, {failed} failed, {skipped} skipped, mode={report.mode})")
+            print(f"{check['status'].upper():4s} {check['name']}")
+    statuses = [c["status"] for c in report["checks"]]
+    print(f"result: {'PASS' if report['overall_pass'] else 'FAIL'} "
+          f"({statuses.count('pass')} passed, {statuses.count('fail')} failed, "
+          f"{statuses.count('skipped')} skipped, mode={report['mode']})")
     if args.report is not None:
         import json
 
         with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2)
+            json.dump(report, fh, indent=2)
             fh.write("\n")
-    return 0 if report.passed else 1
+    return 0 if report["overall_pass"] else 1
 
 
 def _cmd_scan(args) -> int:

@@ -304,7 +304,8 @@ def scan_separation(rules: tuple[str, str], max_order: int, mode: str = "exhaust
     up to 2**C(n, 2), which proves every labelled tournament is
     accounted for exactly once.  Random mode draws ``sample_count``
     tournaments of order ``max_order`` from streams derived from
-    ``seed``.  Every parameter is checked before any tournament is built.
+    ``seed``, which must lie in 0..2**64-1.  Every parameter is checked
+    before any tournament is built.
     """
     if len(rules) != 2:
         raise ValueError("exactly two rules required")
@@ -313,11 +314,13 @@ def scan_separation(rules: tuple[str, str], max_order: int, mode: str = "exhaust
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
     if max_order < 1:
-        raise ValueError("max_order must be at least 1")
+        raise ValueError("order must be at least 1")
     if mode == "exhaustive" and max_order > _EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive scan above order {_EXHAUSTIVE_CAP} not supported")
     if mode == "random" and sample_count < 1:
-        raise ValueError("random mode needs sample_count >= 1")
+        raise ValueError("random mode needs at least one sample")
+    if not 0 <= seed <= _MASK64:  # derive_seed would alias seeds modulo 2**64
+        raise ValueError(f"seed {seed} outside 0..{_MASK64}")
     rule_a, rule_b = rules
     witnesses: list[ScanWitness] = []
 

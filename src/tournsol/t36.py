@@ -24,7 +24,7 @@ y = (i2, j2, k2); each unordered pair matches exactly one rule instance
 The resulting tournament splits: its bipartisan set is the center and its
 Banks set is everything else, and the split survives arbitrary
 reorientation of the nine outer triangles.  ``verify_t36`` recomputes all
-of this from scratch and returns an itemised report.
+of this from scratch and returns an itemised report document.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ __all__ = [
     "CENTER",
     "CYCLIC_ORIENTATION",
     "OUTER_TRIANGLES",
-    "CheckResult",
-    "VerificationReport",
     "block",
     "build_t36",
     "build_t36_variant",
@@ -285,52 +283,12 @@ def dot_clusters() -> list[tuple[str, list[tuple[str, list[int]]]]]:
 # verification
 
 
-class CheckResult:
-    __slots__ = ("name", "status", "details")
-
-    def __init__(self, name: str, status: str, details: dict) -> None:
-        self.name = name
-        self.status = status  # "pass", "fail" or "skipped"
-        self.details = details
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "status": self.status, "details": self.details}
+def _result(name: str, ok: bool, details: dict) -> dict:
+    return {"name": name, "status": "pass" if ok else "fail", "details": details}
 
 
-class VerificationReport:
-    __slots__ = ("mode", "order", "checks")
-
-    def __init__(self, mode: str, order: int, checks: tuple[CheckResult, ...]) -> None:
-        self.mode = mode  # "canonical", "variant" or "general"
-        self.order = order
-        self.checks = checks
-
-    @property
-    def passed(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
-
-    def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "order": self.order,
-            "mode": self.mode,
-            "overall_pass": self.passed,
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
-
-
-def _result(name: str, ok: bool, details: dict) -> CheckResult:
-    return CheckResult(name, "pass" if ok else "fail", details)
-
-
-def _skipped(name: str, reason: str) -> CheckResult:
-    return CheckResult(name, "skipped", {"reason": reason})
+def _skipped(name: str, reason: str) -> dict:
+    return {"name": name, "status": "skipped", "details": {"reason": reason}}
 
 
 _NINTH = Fraction(1, 9)
@@ -351,7 +309,7 @@ _SPOILERS = (
 )
 
 
-def _check_validity(t: Tournament) -> CheckResult:
+def _check_validity(t: Tournament) -> dict:
     bad = []
     for x in range(t.order):
         if t.dominates(x, x):
@@ -362,7 +320,7 @@ def _check_validity(t: Tournament) -> CheckResult:
     return _result("validity", not bad, {"undecided_or_double": bad})
 
 
-def _check_bipartisan(t: Tournament) -> tuple[CheckResult, frozenset[int]]:
+def _check_bipartisan(t: Tournament) -> tuple[dict, frozenset[int]]:
     support, lottery = bipartisan_set(t)
     slacks = equilibrium_slacks(t.skew_adjacency(), lottery)
     ok = (
@@ -382,7 +340,7 @@ def _check_bipartisan(t: Tournament) -> tuple[CheckResult, frozenset[int]]:
     return _result("bipartisan_lottery", ok, details), support
 
 
-def _check_cross_degrees(t: Tournament) -> CheckResult:
+def _check_cross_degrees(t: Tournament) -> dict:
     center_mask = sum(1 << v for v in CENTER)
     bad = {}
     for y in range(9, 36):
@@ -399,7 +357,7 @@ def _check_cross_degrees(t: Tournament) -> CheckResult:
     )
 
 
-def _check_banks(t: Tournament) -> tuple[CheckResult, frozenset[int]]:
+def _check_banks(t: Tournament) -> tuple[dict, frozenset[int]]:
     computed = banks_set(t)
     details = {
         "banks": sorted(computed),
@@ -408,7 +366,7 @@ def _check_banks(t: Tournament) -> tuple[CheckResult, frozenset[int]]:
     return _result("banks_set", computed == _EXPECTED_BANKS, details), computed
 
 
-def _check_partition(banks: frozenset[int], support: frozenset[int]) -> CheckResult:
+def _check_partition(banks: frozenset[int], support: frozenset[int]) -> dict:
     ok = not (banks & support) and banks | support == frozenset(range(36))
     return _result(
         "partition",
@@ -417,7 +375,7 @@ def _check_partition(banks: frozenset[int], support: frozenset[int]) -> CheckRes
     )
 
 
-def _check_degree_profile(t: Tournament) -> CheckResult:
+def _check_degree_profile(t: Tournament) -> dict:
     bad = {}
     for v in range(36):
         want = 19 if v in CENTER else 17
@@ -427,7 +385,7 @@ def _check_degree_profile(t: Tournament) -> CheckResult:
     return _result("degree_profile", not bad, {"deviations": bad})
 
 
-def _check_copeland(t: Tournament) -> CheckResult:
+def _check_copeland(t: Tournament) -> dict:
     winners = copeland_set(t)
     return _result(
         "copeland_winners",
@@ -436,7 +394,7 @@ def _check_copeland(t: Tournament) -> CheckResult:
     )
 
 
-def _check_symmetry(t: Tournament) -> CheckResult:
+def _check_symmetry(t: Tournament) -> dict:
     gens = symmetry_generators()
     names = ["rotation", "twist1", "twist2", "twist3"]
     failing = [name for name, g in zip(names, gens) if not is_automorphism(t, g)]
@@ -451,7 +409,7 @@ def _check_symmetry(t: Tournament) -> CheckResult:
     )
 
 
-def _check_center_structure(t: Tournament) -> CheckResult:
+def _check_center_structure(t: Tournament) -> dict:
     sub, _ = t.restrict(CENTER)
     regular = all(sub.copeland_score(v) == 4 for v in range(9))
     subsets = maximal_transitive_subsets(t, CENTER)
@@ -484,7 +442,7 @@ def _check_center_structure(t: Tournament) -> CheckResult:
     )
 
 
-def _check_spoilers(t: Tournament) -> CheckResult:
+def _check_spoilers(t: Tournament) -> dict:
     dominion_ok = t.dominion(8) == _V8_DOMINION
     cover_ok = True
     for y, s in _SPOILERS:
@@ -508,8 +466,13 @@ def _check_spoilers(t: Tournament) -> CheckResult:
     )
 
 
-def verify_t36(t: Tournament) -> VerificationReport:
+def verify_t36(t: Tournament) -> dict:
     """Recompute and check every structural claim about the construction.
+
+    Returns the document that ``report_schema.json`` defines, with mode
+    "canonical", "variant" or "general".  Each check is a dict
+    ``{"name", "status", "details"}``, and ``overall_pass`` is true
+    unless some check has status "fail".
 
     Accepts any order-36 tournament.  For recognised variants (differing
     from the default build only inside outer small triangles) the degree
@@ -522,7 +485,7 @@ def verify_t36(t: Tournament) -> VerificationReport:
     mode = classify(t) or "general"
     skip_oriented = mode == "variant"
 
-    checks: list[CheckResult] = []
+    checks: list[dict] = []
     checks.append(_check_validity(t))
     bipartisan_check, support = _check_bipartisan(t)
     checks.append(bipartisan_check)
@@ -541,4 +504,10 @@ def verify_t36(t: Tournament) -> VerificationReport:
         checks.append(_check_symmetry(t))
     checks.append(_check_center_structure(t))
     checks.append(_check_spoilers(t))
-    return VerificationReport(mode=mode, order=36, checks=tuple(checks))
+    return {
+        "schema_version": 1,
+        "order": 36,
+        "mode": mode,
+        "overall_pass": all(c["status"] != "fail" for c in checks),
+        "checks": checks,
+    }

@@ -302,6 +302,22 @@ def test_scan_usage_errors(capsys):
     code, _, _ = run(capsys, "scan", "--rules", "banks,bp", "--max-order", "9",
                      "--mode", "exhaustive")
     assert code == 2  # above the exhaustive cap
+    assert run(capsys, "scan", "--rules", "banks,bp", "--max-order", "0",
+               "--mode", "exhaustive") == (2, "", "error: order must be at least 1\n")
+    assert run(capsys, "scan", "--rules", "banks,bp", "--max-order", "5",
+               "--mode", "random", "--samples", "0") == (
+        2, "", "error: random mode needs at least one sample\n")
+
+
+def test_scan_seed_outside_64_bits_is_a_usage_error(capsys):
+    # -1 and 2**64 - 1 would draw the same samples
+    assert run(capsys, "scan", "--rules", "banks,bp", "--max-order", "5",
+               "--mode", "random", "--seed", "-1") == (
+        2, "", "error: seed -1 outside 0..18446744073709551615\n")
+    code, out, _ = run(capsys, "scan", "--rules", "banks,bp", "--max-order", "5",
+                       "--mode", "random", "--samples", "3", "--seed", "0")
+    assert code == 0
+    assert out == "order 5: 3 samples\nwitnesses: 0\n"
 
 
 @pytest.mark.parametrize("argv", [

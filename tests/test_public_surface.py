@@ -6,9 +6,9 @@ from tournsol import core, games, io, search, solutions, t36
 MODULES = (core, games, io, search, solutions, t36)
 
 PUBLIC = [
-    "CENTER", "CYCLIC_ORIENTATION", "CheckResult", "InvariantError", "OUTER_TRIANGLES",
+    "CENTER", "CYCLIC_ORIENTATION", "InvariantError", "OUTER_TRIANGLES",
     "ParseError", "RULES", "ScanOutcome", "ScanWitness", "Tournament",
-    "VerificationReport", "automorphism_count", "banks_set", "banks_witness",
+    "automorphism_count", "banks_set", "banks_witness",
     "bipartisan_set", "block", "build_t36", "build_t36_variant", "canonical_form",
     "check_disjoint", "classify", "copeland_set", "derive_seed",
     "dot_clusters", "equilibrium_slacks", "export_dot", "format_tournament",

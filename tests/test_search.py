@@ -214,14 +214,19 @@ def test_scan_validation_runs_before_any_work(monkeypatch):
     monkeypatch.setattr(search_mod, "random_tournament", no_work)
     cases = [
         (dict(rules=("banks",), max_order=5), "^exactly two rules required$"),
-        (dict(rules=("banks", "bp"), max_order=0), "^max_order must be at least 1$"),
+        (dict(rules=("banks", "bp"), max_order=0), "^order must be at least 1$"),
         (dict(rules=("banks", "bp"), max_order=5, mode="sideways"), "^unknown mode 'sideways'$"),
         (dict(rules=("banks", "nope"), max_order=5),
          r"^unknown rule 'nope'; choose from copeland, tc, uc, banks, bp$"),
         (dict(rules=("banks", "bp"), max_order=9),
          "^exhaustive scan above order 8 not supported$"),
         (dict(rules=("banks", "bp"), max_order=5, mode="random", sample_count=-1),
-         "^random mode needs sample_count >= 1$"),
+         "^random mode needs at least one sample$"),
+        # derive_seed masks to 64 bits, so -1 would draw the samples of 2**64 - 1
+        (dict(rules=("banks", "bp"), max_order=5, mode="random", sample_count=1, seed=-1),
+         "^seed -1 outside 0..18446744073709551615$"),
+        (dict(rules=("banks", "bp"), max_order=5, mode="random", sample_count=1, seed=2 ** 64),
+         "^seed 18446744073709551616 outside 0..18446744073709551615$"),
     ]
     for kwargs, message in cases:
         with pytest.raises(ValueError, match=message):

@@ -151,39 +151,31 @@ def test_random_orientations_deterministic():
 
 def test_verify_passes_on_canonical():
     report = verify_t36(build_t36())
-    assert report.passed
-    assert report.mode == "canonical"
-    assert len(report.checks) == 10
-    assert all(c.status == "pass" for c in report.checks)
+    assert report["overall_pass"]
+    assert report["mode"] == "canonical"
+    assert len(report["checks"]) == 10
+    assert all(c["status"] == "pass" for c in report["checks"])
 
 
 def test_verify_variant_skips_orientation_dependent_checks():
     report = verify_t36(build_t36_variant(random_orientations(0)))
-    assert report.mode == "variant"
-    skipped = {c.name for c in report.checks if c.status == "skipped"}
+    assert report["mode"] == "variant"
+    skipped = {c["name"] for c in report["checks"] if c["status"] == "skipped"}
     assert skipped <= {"degree_profile", "symmetry_orbits"}
-    assert all(c.status in {"pass", "skipped"} for c in report.checks)
-    assert report.passed
+    assert all(c["status"] in {"pass", "skipped"} for c in report["checks"])
+    assert report["overall_pass"]
 
 
 def test_verify_fails_on_unrelated_tournament():
     report = verify_t36(random_tournament(36, 123))
-    assert report.mode == "general"
-    assert not report.passed
-    assert any(c.status == "fail" for c in report.checks)
+    assert report["mode"] == "general"
+    assert not report["overall_pass"]
+    assert any(c["status"] == "fail" for c in report["checks"])
 
 
 def test_verify_rejects_wrong_order():
     with pytest.raises(ValueError):
         verify_t36(random_tournament(10, 0))
-
-
-def test_report_check_lookup():
-    report = verify_t36(build_t36())
-    check = report.check("banks_set")
-    assert check.status == "pass"
-    with pytest.raises(KeyError):
-        report.check("no_such_check")
 
 
 def test_report_json_matches_schema():
@@ -193,20 +185,47 @@ def test_report_json_matches_schema():
     schema = json.loads(
         files("tournsol").joinpath("report_schema.json").read_text()
     )
-    for t in (build_t36(), build_t36_variant(random_orientations(9))):
-        doc = verify_t36(t).to_json_dict()
+    for t in (build_t36(), build_t36_variant(random_orientations(9)),
+              random_tournament(36, 99)):
+        doc = verify_t36(t)
         jsonschema.validate(doc, schema)
+        assert list(doc) == ["schema_version", "order", "mode", "overall_pass", "checks"]
         # JSON round-trip safe
         assert json.loads(json.dumps(doc)) == doc
 
 
-def test_verify_paper_report_bytes_are_pinned(tmp_path):
+# (gen arguments of the verified file or None for the fresh build, exit
+# code, sha256 of the report, sha256 of stdout)
+PINNED_VERIFY_RUNS = [
+    (None, 0,
+     "e6edab776225520fb85b08cc298b376edd5074d6661643aa8caecdaedfcba15c",
+     "3806b7d232b7003b0e84dbcbf5bc86218ebbeefeb3cdabe33db2597a0bf0c5d3"),
+    (["paper36", "--variant-seed", "3"], 0,
+     "8977848dfcff799b79a3fae8c1ab4805592206858d0fee4aaca5a99e462c3762",
+     "d0f883d41e78a801b7649439764df31aac8d63de7e3be9d4111f2d391f63db5a"),
+    (["random", "--n", "36", "--seed", "99"], 1,
+     "fc1b68a8bef4ba4ec01850517b22de9f67651bb0a9942f5280cd871f3ee853e3",
+     "98d8b181418c278312177bd5454ddd3032f7f06322ee8c4d648c1505a411e691"),
+]
+
+
+def test_verify_paper_report_bytes_are_pinned(tmp_path, capsys):
     from tournsol.cli import main
 
-    path = tmp_path / "report.json"
-    assert main(["verify-paper", "--report", str(path)]) == 0
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "e6edab776225520fb85b08cc298b376edd5074d6661643aa8caecdaedfcba15c"
+    for gen_args, code, report_sha256, stdout_sha256 in PINNED_VERIFY_RUNS:
+        argv = ["verify-paper"]
+        if gen_args is not None:
+            source = tmp_path / "t.txt"
+            assert main(["gen", *gen_args, "-o", str(source)]) == 0
+            argv.append(str(source))
+        path = tmp_path / "report.json"
+        assert main([*argv, "--report", str(path)]) == code
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == report_sha256
+        assert hashlib.sha256(stdout.encode("ascii")).hexdigest() == stdout_sha256
+        doc = json.loads(path.read_text())
+        assert doc["overall_pass"] == all(c["status"] != "fail" for c in doc["checks"])
+        assert doc["overall_pass"] == (code == 0)
 
 
 def test_vertex_id_rejects_bad_coordinates():
