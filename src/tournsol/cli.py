@@ -172,8 +172,8 @@ def _cmd_scan(args) -> int:
     for w in outcome.witnesses:
         a, b = w.rules
         sa, sb = w.choice_sets
-        print(f"witness (order {w.order}): {a}={list(sa)} disjoint from {b}={list(sb)}")
-        sys.stdout.write(w.text)
+        print(f"witness (order {w.tournament.order}): {a}={list(sa)} disjoint from {b}={list(sb)}")
+        sys.stdout.write(format_tournament(w.tournament))
     print(f"witnesses: {len(outcome.witnesses)}")
     return 1 if outcome.witnesses else 0
 

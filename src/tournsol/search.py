@@ -16,10 +16,10 @@ tournaments.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from math import factorial
 
 from .core import Tournament, iter_bits
-from .io import format_tournament
 from .solutions import banks_set, bipartisan_set, copeland_set, top_cycle, uncovered_set
 
 __all__ = [
@@ -39,11 +39,13 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _EXHAUSTIVE_CAP = 8  # highest order an exhaustive scan accepts
-_CANONICAL_CAP = 9  # highest order canonical_form accepts
+_CANONICAL_CAP = 9  # highest order canonical_form and automorphism_count accept
 
 
 def splitmix64(z: int) -> int:
-    """One SplitMix64 step (Steele, Lea and Flood's constants)."""
+    """One SplitMix64 step (Steele, Lea and Flood's constants) on z in 0..2**64-1."""
+    if not 0 <= z <= _MASK64:  # masking would alias z modulo 2**64
+        raise ValueError(f"seed {z} outside 0..{_MASK64}")
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -51,8 +53,10 @@ def splitmix64(z: int) -> int:
 
 
 def derive_seed(master: int, index: int) -> int:
-    """Seed of the index-th independent stream under ``master``."""
-    return splitmix64(splitmix64(master & _MASK64) ^ (index & _MASK64))
+    """Seed of the index-th independent stream under ``master``; both in 0..2**64-1."""
+    if not 0 <= index <= _MASK64:
+        raise ValueError(f"index {index} outside 0..{_MASK64}")
+    return splitmix64(splitmix64(master) ^ index)
 
 
 def random_tournament(n: int, seed: int) -> Tournament:
@@ -156,9 +160,12 @@ def automorphism_count(t: Tournament) -> int:
     the same score whose dominators among the images of 0..k-1 are the
     images of k's dominators among 0..k-1, kept per candidate as a mask
     over source labels.  Deliberately independent of ``canonical_form``,
-    so that the orbit-count certificate checks the labelling.
+    so that the orbit-count certificate checks the labelling.  The work
+    can grow as n!, so orders above ``canonical_form``'s cap are refused.
     """
     n = t.order
+    if n > _CANONICAL_CAP:
+        raise ValueError(f"order {n} above automorphism cap {_CANONICAL_CAP}")
     rows = t.row_masks
     scores = [r.bit_count() for r in rows]
     # beaten_by[k]: the j < k that dominate k, as a mask
@@ -273,25 +280,11 @@ def check_disjoint(t: Tournament, rule_a: str, rule_b: str) -> bool:
     return not (a & b)
 
 
-class ScanWitness:
-    __slots__ = ("order", "rules", "text", "choice_sets")
-
-    def __init__(self, order: int, rules: tuple[str, str], text: str,
-                 choice_sets: tuple[tuple[int, ...], tuple[int, ...]]) -> None:
-        self.order = order
-        self.rules = rules
-        self.text = text  # tournament file content
-        self.choice_sets = choice_sets
-
-
-class ScanOutcome:
-    __slots__ = ("examined", "labeled_counts", "witnesses")
-
-    def __init__(self, examined: dict[int, int], labeled_counts: dict[int, int] | None,
-                 witnesses: tuple[ScanWitness, ...] = ()) -> None:
-        self.examined = examined  # classes (exhaustive) or samples (random) per order, ascending
-        self.labeled_counts = labeled_counts  # exhaustive: labelled tournaments covered
-        self.witnesses = witnesses
+# choice_sets: each rule's choice on the tournament, sorted
+ScanWitness = namedtuple("ScanWitness", "rules tournament choice_sets")
+# examined: classes (exhaustive) or samples (random) per order, ascending;
+# labeled_counts: exhaustive only, labelled tournaments covered per order
+ScanOutcome = namedtuple("ScanOutcome", "examined labeled_counts witnesses")
 
 
 def scan_separation(rules: tuple[str, str], max_order: int, mode: str = "exhaustive",
@@ -319,21 +312,20 @@ def scan_separation(rules: tuple[str, str], max_order: int, mode: str = "exhaust
         raise ValueError(f"exhaustive scan above order {_EXHAUSTIVE_CAP} not supported")
     if mode == "random" and sample_count < 1:
         raise ValueError("random mode needs at least one sample")
-    if not 0 <= seed <= _MASK64:  # derive_seed would alias seeds modulo 2**64
+    if not 0 <= seed <= _MASK64:  # derive_seed's range, checked in either mode
         raise ValueError(f"seed {seed} outside 0..{_MASK64}")
     rule_a, rule_b = rules
     witnesses: list[ScanWitness] = []
 
-    def note(t: Tournament, order: int) -> None:
+    def note(t: Tournament) -> None:
         if check_disjoint(t, rule_a, rule_b):
             sa = resolve_rule(rule_a)(t)
             sb = resolve_rule(rule_b)(t)
-            witnesses.append(ScanWitness(order, rules, format_tournament(t),
-                                         (tuple(sorted(sa)), tuple(sorted(sb)))))
+            witnesses.append(ScanWitness(rules, t, (tuple(sorted(sa)), tuple(sorted(sb)))))
 
     if mode == "random":
         for i in range(sample_count):
-            note(random_tournament(max_order, derive_seed(seed, i)), max_order)
+            note(random_tournament(max_order, derive_seed(seed, i)))
         return ScanOutcome({max_order: sample_count}, None, tuple(witnesses))
 
     examined: dict[int, int] = {}
@@ -342,5 +334,5 @@ def scan_separation(rules: tuple[str, str], max_order: int, mode: str = "exhaust
         labeled_counts[order] = covered
         examined[order] = len(reps)
         for r in reps:
-            note(r, order)
+            note(r)
     return ScanOutcome(examined, labeled_counts, tuple(witnesses))

@@ -6,13 +6,13 @@ import random
 import pytest
 
 from tournsol import (
-    ScanOutcome,
     Tournament,
     automorphism_count,
     bipartisan_set,
     canonical_form,
     copeland_set,
     derive_seed,
+    format_tournament,
     isomorphism_class_representatives,
     parse_tournament,
     random_tournament,
@@ -36,6 +36,18 @@ def test_derive_seed_frozen_value_and_independence():
     assert derive_seed(1, 2) == 13608149317741381227
     assert derive_seed(0, 0) != derive_seed(0, 1)
     assert derive_seed(0, 0) != derive_seed(1, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    # masking to 64 bits made each of these equal its in-range alias
+    (lambda: derive_seed(-1, 0), "seed -1"),  # alias of derive_seed(2**64 - 1, 0)
+    (lambda: derive_seed(2 ** 64, 0), "seed 18446744073709551616"),  # of derive_seed(0, 0)
+    (lambda: derive_seed(0, -1), "index -1"),  # of derive_seed(0, 2**64 - 1)
+    (lambda: splitmix64(-1), "seed -1"),  # of splitmix64(2**64 - 1)
+])
+def test_seed_arguments_outside_64_bits_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{message} outside 0..18446744073709551615$"):
+        call()
 
 
 def test_random_tournament_is_deterministic():
@@ -108,6 +120,19 @@ def test_automorphism_counts():
     assert automorphism_count(cycle3) == 3
     assert automorphism_count(chain3) == 1
     assert automorphism_count(Tournament([[0]])) == 1
+
+
+def cyclic_tournament(n):
+    # x beats x+1, ..., x+(n-1)//2 mod n; at even n also x+n/2 when x < n/2
+    return Tournament([[int(0 < (y - x) % n < n / 2 or (y - x) % n == n / 2 and x < y)
+                        for y in range(n)] for x in range(n)])
+
+
+def test_automorphism_count_cap():
+    assert automorphism_count(cyclic_tournament(9)) == 9  # the rotations
+    for n in (10, 31):  # uncapped, order 31 took seconds
+        with pytest.raises(ValueError, match=f"^order {n} above automorphism cap 9$"):
+            automorphism_count(cyclic_tournament(n))
 
 
 def test_representatives_counts_and_distinctness():
@@ -194,14 +219,14 @@ def test_scan_positional_keyword_and_defaults():
     assert positional.examined == keyword.examined == {8: 300}
     assert positional.labeled_counts is keyword.labeled_counts is None
     assert len(positional.witnesses) == 1
-    assert [(w.text, w.choice_sets) for w in positional.witnesses] == [
-        (w.text, w.choice_sets) for w in keyword.witnesses]
+    assert positional == keyword
     default = scan_separation(("banks", "bp"), 5)  # exhaustive, as if sample_count=0, seed=0
     explicit = scan_separation(("banks", "bp"), 5, "exhaustive", 0, 0)
     assert default.examined == explicit.examined == {n: CLASS_COUNTS[n] for n in range(1, 6)}
     assert default.labeled_counts == explicit.labeled_counts == {
         n: 2 ** (n * (n - 1) // 2) for n in range(1, 6)}
-    assert default.witnesses == explicit.witnesses == ()
+    assert default.witnesses == ()
+    assert default == explicit
 
 
 def test_scan_validation_runs_before_any_work(monkeypatch):
@@ -233,10 +258,6 @@ def test_scan_validation_runs_before_any_work(monkeypatch):
             scan_separation(**kwargs)
 
 
-def test_scan_outcome_has_no_witnesses_by_default():
-    assert ScanOutcome({1: 1}, None).witnesses == ()
-
-
 def test_exhaustive_scan_small_orders():
     outcome = scan_separation(("copeland", "tc"), 5, "exhaustive")
     assert list(outcome.examined) == list(range(1, 6))
@@ -253,6 +274,16 @@ def test_random_scan_is_deterministic():
     assert a.examined == b.examined == {7: 40}
     assert a.witnesses == b.witnesses == ()
     assert a.labeled_counts is None
+    c = scan_separation(("bipartisan", "copeland"), 8, "random", sample_count=300, seed=1)
+    d = scan_separation(("bipartisan", "copeland"), 8, "random", sample_count=300, seed=1)
+    assert c == d
+    assert len(c.witnesses) == 1
+    assert c._fields == ("examined", "labeled_counts", "witnesses")
+    assert c.witnesses[0]._fields == ("rules", "tournament", "choice_sets")
+    with pytest.raises(AttributeError):
+        c.witnesses = ()
+    with pytest.raises(AttributeError):
+        c.witnesses[0].tournament = None
 
 
 def test_scan_witness_round_trip_on_artificial_rules(monkeypatch):
@@ -266,11 +297,11 @@ def test_scan_witness_round_trip_on_artificial_rules(monkeypatch):
     outcome = scan_separation(("copeland", "bottom"), 2, "exhaustive")
     assert outcome.witnesses, "order-2 chain separates best from worst"
     w = outcome.witnesses[0]
-    assert w.order == 2
-    reloaded = parse_tournament(w.text)
+    assert w.tournament.order == 2
+    assert parse_tournament(format_tournament(w.tournament)) == w.tournament
     sa, sb = w.choice_sets
     assert set(sa) & set(sb) == set()
-    assert search_mod.RULES["copeland"](reloaded) == frozenset(sa)
+    assert search_mod.RULES["copeland"](w.tournament) == frozenset(sa)
 
 
 @pytest.mark.parametrize("call, message", [
