@@ -12,8 +12,10 @@ denominators; a positive scale keeps the optimal strategies and the sign
 of every slack.  The solver then guesses, solves, certifies and only then
 falls back:
 
-1. Guess.  A phase-1 simplex over floats proposes a support S.  Its pivot
-   count is capped, and it only ever names candidate strategies.
+1. Guess.  A phase-1 simplex over floats proposes a support S.  Its
+   tableau keeps one row per basic and one column per nonbasic variable,
+   and Bland's rule enters the lowest-label improving nonbasic variable.
+   Its pivot count is capped, and it only ever names candidate strategies.
 2. Solve.  The lottery on S is solved exactly from the k+1 equations
    sum_{x in S} M[x][y] p_x = 0 (y in S) and sum(p) = 1 by fraction-free
    Gauss-Jordan elimination over ``int`` (Bareiss).  It yields integer
@@ -26,8 +28,9 @@ falls back:
    optimal strategy is unique, so the certified lottery is the one the
    exact simplex would return.
 4. Fallback.  Otherwise the same phase-1 simplex runs over
-   ``fractions.Fraction`` with Bland's anti-cycling rule, and its answer
-   is returned after the same exact check.
+   ``fractions.Fraction``, where Bland's rule (lowest-label improving
+   nonbasic variable, ratio ties to the lowest basic label) prevents
+   cycling, and its answer is returned after the same exact check.
 
 No float decides a reported number: every returned weight is an exact
 rational that passed the exact check, and a weight is positive iff it is
@@ -98,51 +101,39 @@ def solve_symmetric_zero_sum(matrix: Sequence[Sequence[object]]) -> tuple[Fracti
 def _phase1(m: list[list[int]], number: type, tol: float, max_pivots: int | None) -> list | None:
     """Weights of a phase-1 simplex optimum over the type ``number``.
 
-    Bland's rule picks the first improving column and breaks ratio ties
-    by the lowest basic column.  A value counts as negative, positive or
-    tied only beyond ``tol``; with ``tol`` 0 every comparison is exact.
-    Returns None when ``max_pivots`` (None for no cap) is reached, the
-    objective is unbounded, or the artificial variable stays above
-    ``tol``, none of which happens in exact arithmetic on a skew game.
+    Bland's rule enters the lowest-label improving nonbasic variable and
+    breaks ratio ties by the lowest basic label.  A value counts as
+    negative, positive or tied only beyond ``tol``; with ``tol`` 0 every
+    comparison is exact.  Returns None when ``max_pivots`` (None for no
+    cap) is reached, the objective is unbounded, or the artificial
+    variable stays above ``tol``, none of which happens in exact
+    arithmetic on a skew game.
     """
     n = len(m)
     zero, one = number(0), number(1)
 
-    # Equality form.  Row y (for y < n) encodes (M^T p)_y - s_y = 0, written
-    # with the sign flipped so the slack column carries +1 and can start in
-    # the basis:  sum_x M[y][x] p_x + s_y = 0.  The last row is sum(p) = 1
-    # with one artificial variable; phase 1 minimises that artificial.
-    # Columns: p_0..p_{n-1}, s_0..s_{n-1}, artificial, rhs.
-    width = 2 * n + 2
-    rows = []
-    for y in range(n):
-        row = [zero] * width
-        for x in range(n):
-            row[x] = number(m[y][x])
-        row[n + y] = one
-        rows.append(row)
-    sum_row = [one] * n + [zero] * n + [one, one]
-    rows.append(sum_row)
-    basis = [n + y for y in range(n)] + [2 * n]
+    # Condensed (Tucker) tableau: one row per basic variable, one column per
+    # nonbasic variable, then the right-hand side.  Labels: p_x is x, s_y is
+    # n + y and the artificial variable is 2n.  Row y (for y < n) encodes
+    # (M^T p)_y - s_y = 0, written with the sign flipped so that s_y starts
+    # basic:  sum_x M[y][x] p_x + s_y = 0.  The last row is sum(p) = 1 with
+    # the artificial basic; phase 1 minimises it.  The cost row holds the
+    # reduced costs and minus the objective, so it starts at -1 throughout.
+    rows = [[number(v) for v in row] + [zero] for row in m]
+    rows.append([one] * (n + 1))
+    cost = [-one] * (n + 1)
+    basic = list(range(n, 2 * n + 1))
+    nonbasic = list(range(n))
 
-    # Reduced-cost row for minimising the artificial variable.  Subtracting
-    # the row where it is basic leaves cost -1 on every p column.
-    cost = [zero - v for v in sum_row]
-    cost[2 * n] = zero
-
-    ncols = width - 1
     pivots = 0
     while True:
-        enter = -1
-        for j in range(ncols):
-            if cost[j] < -tol:
-                enter = j
-                break
-        if enter < 0:
+        improving = [(label, j) for j, label in enumerate(nonbasic) if cost[j] < -tol]
+        if not improving:
             break
         if pivots == max_pivots:
             return None
         pivots += 1
+        enter = min(improving)[1]
         # A pivot must stand out from the rounding noise of its column, which
         # grows with the column's largest entry.  Under an absolute threshold
         # a residue of 1.6e-9 beside entries near 5e4 was taken as a pivot,
@@ -155,30 +146,33 @@ def _phase1(m: list[list[int]], number: type, tol: float, max_pivots: int | None
             if coeff > limit:
                 ratio = rows[i][-1] / coeff
                 if leave < 0 or ratio < best - tol or (
-                    ratio <= best + tol and basis[i] < basis[leave]
+                    ratio <= best + tol and basic[i] < basic[leave]
                 ):
                     best = ratio
                     leave = i
         if leave < 0:
             return None
+        # The leaving variable takes over the entering column: 1/piv in the
+        # pivot row, and -f/piv in a row whose entering entry was f.
         pivot_row = rows[leave]
         piv = pivot_row[enter]
+        inv = one / piv
         if piv != 1:
-            rows[leave] = pivot_row = [v / piv for v in pivot_row]
-        for i, f in enumerate(column):
-            if i != leave and f != 0:
-                rows[i] = [a - f * b for a, b in zip(rows[i], pivot_row)]
-        f = cost[enter]
-        if f != 0:
-            cost = [a - f * b for a, b in zip(cost, pivot_row)]
-        basis[leave] = enter
+            pivot_row[:] = [v / piv for v in pivot_row]
+        pivot_row[enter] = inv
+        for row in (*rows, cost):
+            f = row[enter]
+            if row is not pivot_row and f != 0:
+                row[:] = [a - f * b for a, b in zip(row, pivot_row)]
+                row[enter] = -f * inv
+        basic[leave], nonbasic[enter] = nonbasic[enter], basic[leave]
 
     if -cost[-1] > tol:
         return None
     weights = [zero] * n
-    for i, col in enumerate(basis):
-        if col < n:
-            weights[col] = rows[i][-1]
+    for i, label in enumerate(basic):
+        if label < n:
+            weights[label] = rows[i][-1]
     return weights
 
 

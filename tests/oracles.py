@@ -4,8 +4,10 @@ Everything here works straight from definitions, with no shared code
 paths: subsets are enumerated outright, transitivity is checked over all
 triples, the equilibrium lottery is found by solving exact linear
 systems over every odd support, the canonical form is the minimum over
-every relabelling.  Deliberately slow, deliberately dumb.  Nothing but
-``Tournament`` is imported from the library.
+every relabelling.  Deliberately slow, deliberately dumb.  Two are second
+implementations of a library algorithm instead, kept to pin its exact
+output: the Banks witness search and the full-width phase-1 simplex.
+Nothing but ``Tournament`` is imported from the library.
 """
 
 from __future__ import annotations
@@ -215,6 +217,60 @@ def oracle_bipartisan(t: Tournament) -> tuple[frozenset[int], tuple[Fraction, ..
                 hits.append((frozenset(combo), tuple(full)))
     assert len(hits) == 1, f"expected a unique equilibrium, got {len(hits)}"
     return hits[0]
+
+
+def oracle_bland(matrix: list[list[int]]) -> tuple[Fraction, ...] | None:
+    """The phase-1 simplex for the optimal strategy, on the full-width tableau.
+
+    A second implementation of the library's exact reference path, kept
+    to pin its exact tuple: ``matrix`` is the integer skew matrix, and
+    the tableau has one column per variable p_0..p_{n-1}, s_0..s_{n-1},
+    the artificial variable and the right-hand side.  Row y is
+    sum_x M[y][x] p_x + s_y = 0 and the last row sum(p) + a = 1; phase 1
+    minimises a.  Bland's rule: the first column with negative reduced
+    cost enters, and ratio ties go to the lowest basic column.  Returns
+    None when the artificial variable keeps a positive value.
+    """
+    n = len(matrix)
+    width = 2 * n + 2
+    rows = []
+    for y in range(n):
+        row = [Fraction(0)] * width
+        for x in range(n):
+            row[x] = Fraction(matrix[y][x])
+        row[n + y] = Fraction(1)
+        rows.append(row)
+    rows.append([Fraction(1)] * n + [Fraction(0)] * n + [Fraction(1), Fraction(1)])
+    basis = [n + y for y in range(n)] + [2 * n]
+    cost = [-v for v in rows[n]]
+    cost[2 * n] = Fraction(0)
+    while True:
+        enter = next((j for j in range(width - 1) if cost[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        for i in range(n + 1):
+            if rows[i][enter] > 0:
+                ratio = rows[i][-1] / rows[i][enter]
+                if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        assert leave is not None, "phase 1 is bounded below by 0"
+        piv = rows[leave][enter]
+        rows[leave] = [v / piv for v in rows[leave]]
+        for i in range(n + 1):
+            if i != leave:
+                f = rows[i][enter]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[leave])]
+        f = cost[enter]
+        cost = [a - f * b for a, b in zip(cost, rows[leave])]
+        basis[leave] = enter
+    if cost[-1] != 0:
+        return None
+    weights = [Fraction(0)] * n
+    for i, col in enumerate(basis):
+        if col < n:
+            weights[col] = rows[i][-1]
+    return tuple(weights)
 
 
 def oracle_canonical_form(t: Tournament) -> bytes:

@@ -440,3 +440,19 @@ def test_scan_output_bytes_are_pinned(argv, exit_code, digest, capsys):
     code, out, err = run(capsys, "scan", *argv)
     assert (code, err) == (exit_code, "")
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+def test_bp_output_bytes_are_pinned(tmp_path, capsys):
+    gens = [("random", "--n", str(n), "--seed", str(100 + n)) for n in range(1, 41)]
+    gens += [("paper36",), ("paper36", "--variant-seed", "3")]
+    digest = hashlib.sha256()
+    codes = []
+    for i, gen_args in enumerate(gens):
+        path = tmp_path / f"{i}.txt"
+        assert run(capsys, "gen", *gen_args, "-o", str(path))[0] == 0
+        code, out, err = run(capsys, "solve", str(path), "--rule", "bp")
+        assert err == ""
+        codes.append(code)
+        digest.update(out.encode("ascii"))
+    assert codes == [0] * len(gens)
+    assert digest.hexdigest() == "ba8ccd1f2dd97a01241bf1e034d1c1258d58983a11eb557276299b38c61a4846"

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import oracle_bipartisan
+from oracles import oracle_bipartisan, oracle_bland
 from tournsol import (
     bipartisan_set,
     build_t36,
@@ -178,12 +178,18 @@ def no_fallback(monkeypatch):
     monkeypatch.setattr(games, "_bland", refuse)
 
 
-def random_rational_game(n, seed):
-    """A skew game whose cells have mixed denominators, all dividing 30."""
+def random_rational_game(n, seed, tie_share=0):
+    """A skew game whose cells have mixed denominators, all dividing 30.
+
+    About ``tie_share`` of the pairs tie; with ties, many such games have
+    several optimal strategies.
+    """
     rng = random.Random(seed)
     m = [[Fraction(0)] * n for _ in range(n)]
     for x in range(n):
         for y in range(x + 1, n):
+            if tie_share and rng.random() < tie_share:
+                continue
             m[x][y] = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 6, 10, 15, 30)))
             m[y][x] = -m[x][y]
     return m
@@ -193,7 +199,49 @@ def t36_family():
     return [build_t36()] + [build_t36_variant(random_orientations(seed)) for seed in (1, 2, 3)]
 
 
-# Every order up to 28, then 40; the reference takes about 10 s at 40.
+def oracle_inputs():
+    for n in range(1, 7):
+        for t in isomorphism_class_representatives(n):
+            yield t.skew_adjacency()
+    for n in range(1, 15):
+        for seed in range(2):
+            yield random_tournament(n, 9100 + 10 * n + seed).skew_adjacency()
+    for seed in range(80):
+        yield games._integer_game(random_rational_game(1 + seed % 8, 9300 + seed, 1 / 3))[0]
+    for n in (1, 2, 3, 5):
+        yield [[0] * n for _ in range(n)]
+    for t in t36_family():
+        yield t.skew_adjacency()
+
+
+def test_exact_reference_matches_the_full_width_oracle():
+    for m in oracle_inputs():
+        result = games._bland(m)
+        assert result == oracle_bland(m)
+        assert all(type(w) is Fraction for w in result)
+
+
+def test_pivot_order_decides_the_reference_on_tied_games():
+    # Reversing the labels changes Bland's pivots; on a game with several
+    # optima the reference then returns another optimal strategy, so the
+    # oracle comparison pins the pivot order and not only optimality.
+    differ = 0
+    for seed in range(80):
+        m = games._integer_game(random_rational_game(1 + seed % 8, 9300 + seed, 1 / 3))[0]
+        flipped = oracle_bland([row[::-1] for row in m[::-1]])
+        differ += flipped[::-1] != oracle_bland(m)
+    assert differ >= 20
+
+
+def test_phase1_fails_when_the_artificial_stays_basic():
+    # p_1 + s_0 = 0 and p_0 + s_1 = 0 force p = 0 against sum(p) = 1.
+    m = [[0, 1], [1, 0]]
+    assert games._phase1(m, Fraction, 0, None) is None
+    assert games._phase1(m, float, games._GUESS_TOL, 1000) is None
+    assert oracle_bland(m) is None
+
+
+# Every order up to 28, then 40; the reference takes about 4 s at 40.
 @pytest.mark.parametrize("n", [*range(1, 29), 40])
 def test_matches_reference_path_on_random_tournaments(n):
     m = random_tournament(n, 4200 + n).skew_adjacency()
