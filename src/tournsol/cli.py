@@ -8,8 +8,8 @@ too large to build.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import t36
 from .io import export_dot, format_tournament, parse_tournament, read_tournament
@@ -19,53 +19,144 @@ from .solutions import banks_witness, bipartisan_set
 __all__ = ["main"]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+# Every command with its help line and either its subcommands or its
+# arguments, each as given to argparse's ``add_argument``; positionals
+# come first and an option's long flag comes last.  ``_build_parser``
+# and ``_parse_plain`` both read this table.
+_COMMANDS = {
+    "gen": ("generate a tournament file", {
+        "paper36": ("the bundled order-36 construction", [
+            _arg("--variant-seed", type=int, default=None, metavar="S",
+                 help="reorient the nine outer triangles at random"),
+            _arg("-o", "--output", default="-", metavar="FILE"),
+        ]),
+        "random": ("uniformly random tournament", [
+            _arg("--n", type=int, required=True, metavar="N"),
+            _arg("--seed", type=int, required=True, metavar="S"),
+            _arg("-o", "--output", default="-", metavar="FILE"),
+        ]),
+    }),
+    "solve": ("apply a solution concept", [
+        _arg("file", nargs="?", default="-", help="tournament file, '-' or omitted for stdin"),
+        _arg("--rule", required=True, choices=list(RULES)),
+        _arg("--witness", action="store_true",
+             help="with --rule banks: print a chain witness per member"),
+    ]),
+    "verify-paper": ("check the order-36 construction claims", [
+        _arg("file", nargs="?", default=None,
+             help="tournament file to verify; default: fresh build"),
+        _arg("--report", default=None, metavar="OUT", help="write a JSON report"),
+    ]),
+    "scan": ("search for rule-separating tournaments", [
+        _arg("--rules", required=True, metavar="A,B"),
+        _arg("--max-order", type=int, required=True),
+        _arg("--mode", required=True, choices=["exhaustive", "random"]),
+        _arg("--samples", type=int, default=None, metavar="K"),
+        _arg("--seed", type=int, default=None, metavar="S"),
+    ]),
+    "export-dot": ("write a DOT digraph", [
+        _arg("file"),
+        _arg("-o", "--output", default="-", metavar="OUT"),
+    ]),
+    "orbits": ("symmetry orbits of the bundled construction", [
+        _arg("file"),
+    ]),
+}
+# Where the command names are stored, by depth.
+_COMMAND_DESTS = ("command", "target")
+
+
+def _build_parser():
+    """The argparse parser of ``_COMMANDS``, which prints help and usage errors."""
+    import argparse
+
+    def add_commands(parser, commands, depth):
+        sub = parser.add_subparsers(dest=_COMMAND_DESTS[depth], required=True)
+        for name, (help_text, spec) in commands.items():
+            child = sub.add_parser(name, help=help_text)
+            if isinstance(spec, dict):
+                add_commands(child, spec, depth + 1)
+            else:
+                for flags, kwargs in spec:
+                    child.add_argument(*flags, **kwargs)
+
     parser = argparse.ArgumentParser(
         prog="tournsol",
         description="Tournament solutions with exact arithmetic.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="generate a tournament file")
-    gen_sub = gen.add_subparsers(dest="target", required=True)
-    gen36 = gen_sub.add_parser("paper36", help="the bundled order-36 construction")
-    gen36.add_argument("--variant-seed", type=int, default=None, metavar="S",
-                       help="reorient the nine outer triangles at random")
-    gen36.add_argument("-o", "--output", default="-", metavar="FILE")
-    genr = gen_sub.add_parser("random", help="uniformly random tournament")
-    genr.add_argument("--n", type=int, required=True, metavar="N")
-    genr.add_argument("--seed", type=int, required=True, metavar="S")
-    genr.add_argument("-o", "--output", default="-", metavar="FILE")
-
-    solve = sub.add_parser("solve", help="apply a solution concept")
-    solve.add_argument("file", nargs="?", default="-",
-                       help="tournament file, '-' or omitted for stdin")
-    solve.add_argument("--rule", required=True, choices=list(RULES))
-    solve.add_argument("--witness", action="store_true",
-                       help="with --rule banks: print a chain witness per member")
-
-    verify = sub.add_parser("verify-paper",
-                            help="check the order-36 construction claims")
-    verify.add_argument("file", nargs="?", default=None,
-                        help="tournament file to verify; default: fresh build")
-    verify.add_argument("--report", default=None, metavar="OUT",
-                        help="write a JSON report")
-
-    scan = sub.add_parser("scan", help="search for rule-separating tournaments")
-    scan.add_argument("--rules", required=True, metavar="A,B")
-    scan.add_argument("--max-order", type=int, required=True)
-    scan.add_argument("--mode", required=True, choices=["exhaustive", "random"])
-    scan.add_argument("--samples", type=int, default=None, metavar="K")
-    scan.add_argument("--seed", type=int, default=None, metavar="S")
-
-    dot = sub.add_parser("export-dot", help="write a DOT digraph")
-    dot.add_argument("file")
-    dot.add_argument("-o", "--output", default="-", metavar="OUT")
-
-    orb = sub.add_parser("orbits",
-                         help="symmetry orbits of the bundled construction")
-    orb.add_argument("file")
+    add_commands(parser, _COMMANDS, 0)
     return parser
+
+
+def _value(kwargs: dict, token: str):
+    """``token`` typed and checked as argparse would, or None if it might refuse it."""
+    if token[:1] == "-":  # argparse may take it for an option
+        return None
+    try:
+        value = kwargs["type"](token) if "type" in kwargs else token
+    except ValueError:
+        return None
+    return value if value in kwargs.get("choices", (value,)) else None
+
+
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse returns for ``argv``, if ``argv`` is plain; else None.
+
+    Plain means the command names, then positionals, then each option
+    spelled exactly once as its own token, with its value in the next
+    token, every value well formed and no value starting with '-'.
+    Anything else, help and every usage error included, is left to
+    argparse, so its text stays argparse's.  Never prints or exits.
+    """
+    values = {}
+    spec = _COMMANDS
+    i = 0
+    for dest in _COMMAND_DESTS:
+        if not isinstance(spec, dict):
+            break
+        if i == len(argv) or argv[i] not in spec:
+            return None
+        values[dest] = argv[i]
+        spec = spec[argv[i]][1]
+        i += 1
+    options = {}
+    for flags, kwargs in spec:
+        if flags[0][0] == "-":
+            dest = flags[-1][2:].replace("-", "_")
+            values[dest] = False if kwargs.get("action") == "store_true" else kwargs.get("default")
+            options.update(dict.fromkeys(flags, (dest, kwargs)))
+        elif i < len(argv) and argv[i][:1] != "-":
+            value = _value(kwargs, argv[i])
+            if value is None:
+                return None
+            values[flags[0]] = value
+            i += 1
+        elif kwargs.get("nargs") == "?":
+            values[flags[0]] = kwargs["default"]
+        else:
+            return None
+    seen = set()
+    while i < len(argv):
+        dest, kwargs = options.get(argv[i], (None, None))
+        if dest is None or dest in seen:
+            return None
+        seen.add(dest)
+        if kwargs.get("action") == "store_true":
+            values[dest] = True
+            i += 1
+            continue
+        value = _value(kwargs, argv[i + 1]) if i + 1 < len(argv) else None
+        if value is None:
+            return None
+        values[dest] = value
+        i += 2
+    if any(kwargs.get("required") and dest not in seen for dest, kwargs in options.values()):
+        return None
+    return SimpleNamespace(**values)
 
 
 def _read(path: str):
@@ -214,11 +305,14 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
+            return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
     # ParseError and InvariantError are ValueErrors.

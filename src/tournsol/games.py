@@ -40,17 +40,18 @@ exactly positive.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from math import lcm
 from operator import mul
+
+# ``fractions`` is imported where a Fraction is made, so that importing the
+# package, which every command line run does, does not load it; the
+# annotations name ``Fraction`` as text only.
 
 __all__ = [
     "equilibrium_slacks",
     "solve_symmetric_zero_sum",
     "verify_equilibrium",
 ]
-
-_ZERO = Fraction(0)
 
 # The float guess treats magnitudes up to this as zero, and stops after
 # this many pivots per strategy; either way it only proposes a support.
@@ -66,18 +67,20 @@ def _integer_game(matrix: Sequence[Sequence[object]]) -> tuple[list[list[int]], 
 
     An all-``int`` matrix, such as a tournament's, builds no ``Fraction``
     and has scale 1.  Otherwise the scale is the lcm of the denominators
-    of the cells that are not ``int``.
+    of the cells.
     """
     n = len(matrix)
     if n == 0:
         raise ValueError("empty payoff matrix")
-    m = []
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("payoff matrix is not square")
-        m.append([cell if type(cell) is int else Fraction(cell) for cell in row])
-    scale = lcm(*(cell.denominator for row in m for cell in row if type(cell) is not int))
-    if scale != 1 or any(type(cell) is not int for row in m for cell in row):
+    m = [list(row) for row in matrix]
+    if any(len(row) != n for row in m):
+        raise ValueError("payoff matrix is not square")
+    scale = 1
+    if any(type(cell) is not int for row in m for cell in row):
+        from fractions import Fraction
+
+        m = [[Fraction(cell) for cell in row] for row in m]
+        scale = lcm(*(cell.denominator for row in m for cell in row))
         m = [[cell.numerator * (scale // cell.denominator) for cell in row] for row in m]
     for x in range(n):
         for y in range(x, n):
@@ -178,6 +181,8 @@ def _phase1(m: list[list[int]], number: type, tol: float, max_pivots: int | None
 
 def _bland(m: list[list[int]]) -> tuple[Fraction, ...]:
     """The reference path: the phase-1 simplex in exact arithmetic."""
+    from fractions import Fraction
+
     weights = _phase1(m, Fraction, 0, None)
     if weights is None:
         raise RuntimeError("exact phase-1 simplex failed; input was not a valid skew game")
@@ -228,7 +233,9 @@ def _certify(a: list[list[int]], support: list[int]) -> tuple[Fraction, ...] | N
     inside = set(support)
     if any(s <= 0 for y, s in enumerate(slacks) if y not in inside):
         return None
-    weights = [_ZERO] * n
+    from fractions import Fraction
+
+    weights = [Fraction(0)] * n
     for x, vx in zip(support, on_support):
         weights[x] = Fraction(vx, d)
     return tuple(weights)
@@ -290,6 +297,8 @@ def _scaled(
     The weights are v / d, and the slacks of ``weights`` on ``matrix`` are
     the returned ints divided by scale * d.
     """
+    from fractions import Fraction
+
     a, scale = _integer_game(matrix)
     if len(weights) != len(a):
         raise ValueError("weight vector length does not match the matrix")
@@ -309,6 +318,8 @@ def equilibrium_slacks(
     Raises ValueError unless ``matrix`` is square and skew symmetric and
     ``weights`` has one entry per row.
     """
+    from fractions import Fraction
+
     _, d, slacks, scale = _scaled(matrix, weights)
     return tuple(Fraction(s, scale * d) for s in slacks)
 

@@ -17,8 +17,6 @@ Five choice sets, each a nonempty subset of the alternatives:
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .core import Tournament, iter_bits
 from .games import solve_symmetric_zero_sum
 

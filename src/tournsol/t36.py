@@ -30,7 +30,6 @@ of this from scratch and returns an itemised report document.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -291,7 +290,6 @@ def _skipped(name: str, reason: str) -> dict:
     return {"name": name, "status": "skipped", "details": {"reason": reason}}
 
 
-_NINTH = Fraction(1, 9)
 _EXPECTED_BANKS = frozenset(range(9, 36))
 
 # Dominion of alternative 8 = (0,3,3): its center triangle predecessor and
@@ -321,20 +319,23 @@ def _check_validity(t: Tournament) -> dict:
 
 
 def _check_bipartisan(t: Tournament) -> tuple[dict, frozenset[int]]:
+    from fractions import Fraction
+
+    ninth = Fraction(1, 9)
     support, lottery = bipartisan_set(t)
     slacks = equilibrium_slacks(t.skew_adjacency(), lottery)
     ok = (
         support == CENTER
-        and all(lottery[v] == _NINTH for v in CENTER)
+        and all(lottery[v] == ninth for v in CENTER)
         and all(slacks[v] == 0 for v in CENTER)
-        and all(slacks[v] == _NINTH for v in range(36) if v not in CENTER)
+        and all(slacks[v] == ninth for v in range(36) if v not in CENTER)
     )
     details = {
         "support": sorted(support),
         "expected_support": sorted(CENTER),
         "weights": {str(v): str(lottery[v]) for v in sorted(support)},
         "outside_slacks_all_one_ninth": all(
-            slacks[v] == _NINTH for v in range(36) if v not in CENTER
+            slacks[v] == ninth for v in range(36) if v not in CENTER
         ),
     }
     return _result("bipartisan_lottery", ok, details), support

@@ -399,20 +399,86 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
-def test_import_loads_no_dataclasses_inspect_or_json():
-    # A fresh interpreter, compared with its own start-up modules, so a
-    # site hook that preloads one of these cannot fail the test.
-    probe = (
-        "import sys; before = set(sys.modules); import tournsol.cli; "
-        "print(' '.join(sorted(set(sys.modules) - before)))"
-    )
+def loaded_by(statement: str) -> set[str]:
+    """Modules a fresh interpreter loads to run ``statement``.
+
+    Compared with the interpreter's own start-up modules, so a site hook
+    that preloads a module cannot fail a test.  The statement's exit must
+    be clean.
+    """
+    probe = ("import sys; before = set(sys.modules); " + statement + "; "
+             "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
-    loaded = set(done.stdout.split())
+    return set(done.stderr.split())
+
+
+def test_import_loads_no_dataclasses_inspect_or_json():
+    # Nor argparse or fractions, with what they import: commands load
+    # them only where they need them (next test).
+    loaded = loaded_by("import tournsol.cli")
     assert "tournsol.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "json"}
+    assert not loaded & {"dataclasses", "inspect", "json",
+                         "argparse", "gettext", "fractions", "decimal", "numbers"}
+
+
+@pytest.mark.parametrize("argv, argparse_loaded, fractions_loaded", [
+    (["solve", "{path}", "--rule", "uc"], False, False),
+    (["solve", "{path}", "--rule", "bp"], False, True),
+    (["--help"], True, False),
+], ids=["solve-uc", "solve-bp", "help"])
+def test_commands_load_argparse_and_fractions_only_when_needed(
+    tmp_path, argv, argparse_loaded, fractions_loaded
+):
+    path = tmp_path / "t.txt"
+    path.write_text(format_tournament(random_tournament(12, 4)), encoding="ascii")
+    argv = [arg.format(path=path) for arg in argv]
+    loaded = loaded_by(f"import tournsol.cli; assert tournsol.cli.main({argv!r}) == 0")
+    assert ("argparse" in loaded) == argparse_loaded
+    assert ("fractions" in loaded) == fractions_loaded
+
+
+# Help and usage text, pinned so that the parser built from the command
+# table prints what the hand-built parser did.  The digests are the same
+# under Python 3.10, 3.11 and 3.12; 3.13 lays out some help differently.
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+
+@pytest.mark.skipif(not (3, 10) <= sys.version_info[:2] <= (3, 12),
+                    reason="argparse's help layout differs from Python 3.13 on")
+@pytest.mark.parametrize("argv, exit_code, out_digest, err_digest", [
+    (["--help"], 0, "ecf9da33fdc4316386c20e4c2587f76bfda3c81eb589512b6b15f42e4bd9867a", EMPTY),
+    (["gen", "--help"], 0,
+     "dd99aebfe0f1bca9a8220df3129f84913427360adcc17ce511a9f17dfe588210", EMPTY),
+    (["gen", "random", "--help"], 0,
+     "adb7dd5dc26fad78590e50e54f4ca7fea3ef1cf9b3040cfb2904d0b9cef17d8e", EMPTY),
+    (["gen", "paper36", "--help"], 0,
+     "7937fd633e6f5eb5733420bd6e7464009c2fba6d1b710389c5b40793dfdc574f", EMPTY),
+    (["solve", "--help"], 0,
+     "287a819be308cd2761479c530b8b8b78e63d3b5ab1b891dcfe18f8cb186fdacc", EMPTY),
+    (["verify-paper", "--help"], 0,
+     "2bf6394e5e98a103d566031e98f16c4706972e4822792e081cd6c2d980d88ba7", EMPTY),
+    (["scan", "--help"], 0,
+     "0abc3a343b83014a67413fcbb227bf7568827aada5613efe3fa45bcfda61d74b", EMPTY),
+    (["export-dot", "--help"], 0,
+     "6e5aff3f4dbcb2489d819c8c5ce5662573a02efcd24010dede38dd9a2c298ab8", EMPTY),
+    (["orbits", "--help"], 0,
+     "2f1e101a3918912c60d3e0694ba4b9f1eea9813d46ba631c6b750a9bf8636d84", EMPTY),
+    ([], 2, EMPTY, "61739f8d5702aa86911e1ad940b6ac919f7c36bbc0c97662e1441fa50b8c81f1"),
+    (["solve", "F", "--rule", "borda"], 2,
+     EMPTY, "80a6dc4f836d762499fa8ced5a62569d8b214ef4123bc92dae2addef79df41bf"),
+    (["gen", "random", "--n", "x", "--seed", "1"], 2,
+     EMPTY, "f0165b42af9d7c7d7e9dea12aadf1ef8f17c9b8a58321fea7e1d3ca4ca080fb3"),
+])
+def test_help_and_usage_text_is_pinned(monkeypatch, capsys, argv, exit_code, out_digest,
+                                       err_digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(err.encode()).hexdigest() == err_digest
 
 
 @pytest.mark.parametrize("gen_args, digest", [

@@ -1,4 +1,4 @@
-"""Seeded property tests of the file format and the CLI's exit codes."""
+"""Seeded property tests of the file format, the CLI's exit codes and its argument reader."""
 
 import contextlib
 import io
@@ -8,7 +8,7 @@ import tempfile
 import pytest
 
 from tournsol import InvariantError, ParseError, Tournament, format_tournament, parse_tournament
-from tournsol.cli import main
+from tournsol.cli import _COMMANDS, _build_parser, _parse_plain, main
 from tournsol.search import RULES
 
 pytest.importorskip("hypothesis")
@@ -75,3 +75,93 @@ def test_solve_exits_zero_or_two_on_any_file(data, rule):
         os.remove(path)
     assert code in (0, 2)
     assert (code == 2) == err.getvalue().startswith("error: ")
+
+
+# Argument vectors drawn from the command table: plain ones, which the
+# reader must take, and perturbed ones, which it may leave to argparse.
+def command_lines(commands=_COMMANDS, names=()):
+    for name, (_, spec) in commands.items():
+        if isinstance(spec, dict):
+            yield from command_lines(spec, (*names, name))
+        else:
+            yield [*names, name], spec
+
+
+COMMAND_LINES = list(command_lines())
+WORDS = ["F", "t.txt", "a b", "", "\u00e9", "0", "7", "banks,bp", "exhaustive", "uc", "x"]
+ODD = ["-h", "--help", "--", "-", "-5", "--rul", "--max", "--see", "--rule=uc", "-oX",
+       "--output=o", "--n=3", "--witness", "-o", "--rule", "--seed", "5", "nope", "gen", "solve"]
+
+
+def values(kwargs):
+    if "choices" in kwargs:
+        return st.sampled_from(list(kwargs["choices"]))
+    if kwargs.get("type") is int:
+        return st.integers(0, 2**70).map(str)
+    return st.sampled_from(WORDS)
+
+
+@st.composite
+def plain_argvs(draw):
+    names, spec = draw(st.sampled_from(COMMAND_LINES))
+    argv = list(names)
+    options = []
+    for flags, kwargs in spec:
+        if flags[0][0] != "-":
+            if kwargs.get("nargs") != "?" or draw(st.booleans()):
+                argv.append(draw(st.sampled_from(WORDS)))
+        elif kwargs.get("required") or draw(st.booleans()):
+            options.append((flags, kwargs))
+    for flags, kwargs in draw(st.permutations(options)):
+        argv.append(draw(st.sampled_from(flags)))
+        if kwargs.get("action") != "store_true":
+            argv.append(draw(values(kwargs)))
+    return argv
+
+
+@st.composite
+def perturbed_argvs(draw):
+    argv = draw(plain_argvs())
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete", "swap", "join", "shorten"]))
+        if edit == "insert":
+            argv.insert(i, draw(st.sampled_from(ODD + WORDS)))
+        elif i < len(argv) and edit == "replace":
+            argv[i] = draw(st.sampled_from(ODD + WORDS))
+        elif i < len(argv) and edit == "delete":
+            del argv[i]
+        elif i + 1 < len(argv) and edit == "swap":
+            argv[i], argv[i + 1] = argv[i + 1], argv[i]
+        elif i + 1 < len(argv) and edit == "join":
+            argv[i:i + 2] = [argv[i] + ("=" if argv[i][:2] == "--" else "") + argv[i + 1]]
+        elif i < len(argv) and edit == "shorten" and len(argv[i]) > 3:
+            argv[i] = argv[i][:-1]
+    return argv
+
+
+def read_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = _parse_plain(argv)
+        except SystemExit:
+            pytest.fail(f"the reader exited on {argv!r}")
+    assert out.getvalue() == err.getvalue() == ""
+    return namespace
+
+
+@seeded
+@given(plain_argvs())
+def test_reader_takes_plain_argv_as_argparse_does(argv):
+    namespace = read_quietly(argv)
+    assert namespace is not None, argv
+    assert vars(namespace) == vars(_build_parser().parse_args(argv))
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(perturbed_argvs())
+def test_reader_agrees_with_argparse_or_leaves_argv_to_it(argv):
+    namespace = read_quietly(argv)
+    if namespace is not None:
+        assert vars(namespace) == vars(_build_parser().parse_args(argv))

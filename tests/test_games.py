@@ -1,5 +1,6 @@
 """Exact equilibrium solving for skew-symmetric games."""
 
+import fractions
 import random
 from fractions import Fraction
 
@@ -295,7 +296,8 @@ def test_integer_cells_build_no_fraction(monkeypatch):
     def refuse(cell):
         raise AssertionError(f"built a Fraction of {cell!r}")
 
-    monkeypatch.setattr(games, "Fraction", refuse)
+    # games imports Fraction where it makes one, so patch it at its source.
+    monkeypatch.setattr(fractions, "Fraction", refuse)
     m = random_tournament(6, 3).skew_adjacency()
     assert games._integer_game(m) == (m, 1)
 
