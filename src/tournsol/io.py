@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import sys
 
-from .core import Tournament
+from .core import Tournament, iter_bits
 
 __all__ = [
     "InvariantError",
@@ -89,9 +89,9 @@ def parse_tournament(text: str) -> Tournament:
 
 
 def format_tournament(t: Tournament) -> str:
-    lines = [str(t.order)]
-    for row in t.to_rows():
-        lines.append("".join("1" if cell else "0" for cell in row))
+    n = t.order
+    # bit y of row x is cell (x, y); binary digits run from the high bit down
+    lines = [str(n)] + [format(mask, f"0{n}b")[::-1] for mask in t.row_masks]
     return "\n".join(lines) + "\n"
 
 
@@ -136,8 +136,7 @@ def export_dot(
         if v not in clustered:
             out.append(node_line(v, "  "))
     for x in range(t.order):
-        for y in range(t.order):
-            if t.dominates(x, y):
-                out.append(f"  {x} -> {y};")
+        for y in iter_bits(t.dominion_mask(x)):
+            out.append(f"  {x} -> {y};")
     out.append("}")
     return "\n".join(out) + "\n"

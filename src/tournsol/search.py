@@ -28,7 +28,6 @@ __all__ = [
     "ScanWitness",
     "automorphism_count",
     "canonical_form",
-    "check_disjoint",
     "derive_seed",
     "isomorphism_class_representatives",
     "random_tournament",
@@ -269,17 +268,6 @@ def resolve_rule(name: str):
                          f"{', '.join(RULES)}") from None
 
 
-def check_disjoint(t: Tournament, rule_a: str, rule_b: str) -> bool:
-    """True iff the two rules choose disjoint sets on ``t``.
-
-    ``scan_separation`` calls this once per tournament, and computes both
-    choice sets again only for a witness.
-    """
-    a = resolve_rule(rule_a)(t)
-    b = resolve_rule(rule_b)(t)
-    return not (a & b)
-
-
 # choice_sets: each rule's choice on the tournament, sorted
 ScanWitness = namedtuple("ScanWitness", "rules tournament choice_sets")
 # examined: classes (exhaustive) or samples (random) per order, ascending;
@@ -302,8 +290,7 @@ def scan_separation(rules: tuple[str, str], max_order: int, mode: str = "exhaust
     """
     if len(rules) != 2:
         raise ValueError("exactly two rules required")
-    for name in rules:
-        resolve_rule(name)
+    rule_a, rule_b = (resolve_rule(name) for name in rules)
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
     if max_order < 1:
@@ -314,13 +301,12 @@ def scan_separation(rules: tuple[str, str], max_order: int, mode: str = "exhaust
         raise ValueError("random mode needs at least one sample")
     if not 0 <= seed <= _MASK64:  # derive_seed's range, checked in either mode
         raise ValueError(f"seed {seed} outside 0..{_MASK64}")
-    rule_a, rule_b = rules
     witnesses: list[ScanWitness] = []
 
     def note(t: Tournament) -> None:
-        if check_disjoint(t, rule_a, rule_b):
-            sa = resolve_rule(rule_a)(t)
-            sb = resolve_rule(rule_b)(t)
+        sa = rule_a(t)
+        sb = rule_b(t)
+        if not sa & sb:
             witnesses.append(ScanWitness(rules, t, (tuple(sorted(sa)), tuple(sorted(sb)))))
 
     if mode == "random":

@@ -324,19 +324,18 @@ def _check_bipartisan(t: Tournament) -> tuple[dict, frozenset[int]]:
     ninth = Fraction(1, 9)
     support, lottery = bipartisan_set(t)
     slacks = equilibrium_slacks(t.skew_adjacency(), lottery)
+    outside_ninth = all(slacks[v] == ninth for v in range(36) if v not in CENTER)
     ok = (
         support == CENTER
         and all(lottery[v] == ninth for v in CENTER)
         and all(slacks[v] == 0 for v in CENTER)
-        and all(slacks[v] == ninth for v in range(36) if v not in CENTER)
+        and outside_ninth
     )
     details = {
         "support": sorted(support),
         "expected_support": sorted(CENTER),
         "weights": {str(v): str(lottery[v]) for v in sorted(support)},
-        "outside_slacks_all_one_ninth": all(
-            slacks[v] == ninth for v in range(36) if v not in CENTER
-        ),
+        "outside_slacks_all_one_ninth": outside_ninth,
     }
     return _result("bipartisan_lottery", ok, details), support
 

@@ -364,6 +364,19 @@ def test_export_dot_labeled(tmp_path, capsys):
     assert text.count(" -> ") == 630
 
 
+@pytest.mark.parametrize("gen_argv, digest", [
+    (["gen", "paper36"], "e634f68877d9e1fee3dbfeed16889a69d4139b86e10d386a0344b6d37a229cbc"),
+    (["gen", "random", "--n", "30", "--seed", "7"],
+     "72b4557a7b9a43b698ad10e738e4f18e94a3779cf262cab26e4b58be54d2e3ff"),
+], ids=["paper36-labelled", "random-30"])
+def test_export_dot_bytes_are_pinned(tmp_path, capsys, gen_argv, digest):
+    src = tmp_path / "t.txt"
+    assert run(capsys, *gen_argv, "-o", str(src))[0] == 0
+    code, out, err = run(capsys, "export-dot", str(src))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_export_dot_plain_for_random(tmp_path, capsys):
     src = tmp_path / "r.txt"
     src.write_text(format_tournament(random_tournament(5, 3)))

@@ -394,6 +394,20 @@ def test_a_zero_weight_on_the_guess_fails_the_certificate(monkeypatch, fallbacks
     assert fallbacks == [4]
 
 
+def test_a_pure_reply_that_beats_the_guess_fails_the_certificate(monkeypatch, fallbacks):
+    # On {0} the support system solves to the pure strategy 0, a positive
+    # lottery, but strategy 2 beats it: its slack is -1.  Strict
+    # complementarity would refuse this guess too, so this pins the
+    # refusal, not which check makes it.
+    m = [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
+    assert games._support_lottery(m, [0]) == ([1], 1)
+    assert games.equilibrium_slacks(m, (1, 0, 0))[2] == -1
+    monkeypatch.setattr(games, "_guess_support", lambda m: [0])
+    third = Fraction(1, 3)
+    assert solve_symmetric_zero_sum(m) == reference(m) == (third, third, third)
+    assert fallbacks == [3]
+
+
 def test_orders_10_to_24_are_decided_by_the_certified_guess(no_fallback):
     for n in range(10, 25):
         for seed in range(3):

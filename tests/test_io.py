@@ -23,6 +23,11 @@ def test_parse_round_trip():
         n = 1 + seed % 12
         t = random_tournament(n, 5000 + seed)
         assert parse_tournament(format_tournament(t)) == t
+    for n in (63, 64, 65, 101, 128, 150):  # rows wider than a machine word
+        t = random_tournament(n, 5000 + n)
+        text = format_tournament(t)
+        assert parse_tournament(text) == t
+        assert format_tournament(parse_tournament(text)) == text
 
 
 def test_format_shape():

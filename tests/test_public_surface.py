@@ -10,7 +10,7 @@ PUBLIC = [
     "ParseError", "RULES", "ScanOutcome", "ScanWitness", "Tournament",
     "automorphism_count", "banks_set", "banks_witness",
     "bipartisan_set", "block", "build_t36", "build_t36_variant", "canonical_form",
-    "check_disjoint", "classify", "copeland_set", "derive_seed",
+    "classify", "copeland_set", "derive_seed",
     "dot_clusters", "equilibrium_slacks", "export_dot", "format_tournament",
     "is_automorphism", "isomorphism_class_representatives", "iter_bits",
     "maximal_transitive_subsets", "orbits", "parse_tournament", "random_orientations",

@@ -8,6 +8,7 @@ import pytest
 from tournsol import (
     Tournament,
     automorphism_count,
+    banks_set,
     bipartisan_set,
     canonical_form,
     copeland_set,
@@ -18,7 +19,7 @@ from tournsol import (
     random_tournament,
     scan_separation,
 )
-from tournsol.search import check_disjoint, resolve_rule, splitmix64
+from tournsol.search import resolve_rule, splitmix64
 
 from oracles import oracle_canonical_form, oracle_labeled
 
@@ -173,10 +174,10 @@ def test_resolve_rule_aliases():
         resolve_rule("borda")
 
 
-def test_check_disjoint():
+def test_rule_sets_meet_on_a_chain():
     chain3 = Tournament([[0, 1, 1], [0, 0, 1], [0, 0, 0]])
-    assert not check_disjoint(chain3, "copeland", "banks")  # both pick the top
-    assert not check_disjoint(chain3, "uc", "bp")
+    assert copeland_set(chain3) & banks_set(chain3) == {0}  # both pick the top
+    assert resolve_rule("uc")(chain3) & resolve_rule("bp")(chain3) == {0}
 
 
 # the first witness of `scan --rules copeland,bp --mode exhaustive --max-order 8`
@@ -194,10 +195,10 @@ COPELAND_BP_WITNESS = """8
 
 def test_copeland_and_bp_separate_on_the_scan_witness():
     t = parse_tournament(COPELAND_BP_WITNESS)
-    assert check_disjoint(t, "copeland", "bp")
     assert copeland_set(t) == {6}
     assert bipartisan_set(t)[0] == {0, 1, 2, 5, 7}
-    assert not check_disjoint(t, "banks", "bp")
+    assert not copeland_set(t) & bipartisan_set(t)[0]
+    assert banks_set(t) & bipartisan_set(t)[0]
 
 
 def test_scan_positional_keyword_and_defaults():
@@ -290,6 +291,40 @@ def test_scan_witness_round_trip_on_artificial_rules(monkeypatch):
     sa, sb = w.choice_sets
     assert set(sa) & set(sb) == set()
     assert search_mod.RULES["copeland"](w.tournament) == frozenset(sa)
+
+
+def test_scan_evaluates_each_rule_once_per_tournament(monkeypatch):
+    # witnesses included: their choice sets are the sets the test compared
+    import tournsol.search as search_mod
+
+    seen = {"copeland": [], "bottom": []}
+
+    def counted(name, rule):
+        def count(t):
+            seen[name].append(t)
+            return rule(t)
+        return count
+
+    def bottom(t):
+        return frozenset({min(range(t.order), key=lambda v: (t.copeland_score(v), v))})
+
+    monkeypatch.setitem(search_mod.RULES, "copeland", counted("copeland", copeland_set))
+    monkeypatch.setitem(search_mod.RULES, "bottom", counted("bottom", bottom))
+    exhaustive = scan_separation(("copeland", "bottom"), 4, "exhaustive")
+    assert exhaustive.examined == {n: CLASS_COUNTS[n] for n in range(1, 5)}
+    assert len(exhaustive.witnesses) == 6  # every class but the order-1 one and the 3-cycle
+    classes = [r for n in range(1, 5) for r in isomorphism_class_representatives(n)]
+    assert len(classes) == 8
+    assert seen["copeland"] == seen["bottom"] == classes
+    for w in exhaustive.witnesses:
+        assert w.choice_sets == (tuple(sorted(copeland_set(w.tournament))),
+                                 tuple(sorted(bottom(w.tournament))))
+    for name in seen:
+        seen[name].clear()
+    sampled = scan_separation(("copeland", "bottom"), 5, "random", sample_count=20, seed=3)
+    assert sampled.witnesses
+    assert seen["copeland"] == seen["bottom"] == [
+        random_tournament(5, derive_seed(3, i)) for i in range(20)]
 
 
 @pytest.mark.parametrize("call, message", [

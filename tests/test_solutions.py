@@ -1,5 +1,6 @@
 """Choice sets against definition-level oracles and known inclusions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -156,8 +157,6 @@ def test_banks_witness_longer_than_the_recursion_limit():
 def test_banks_witness_equals_the_list_search_on_relabelled_deep_chains():
     # Shuffled labels make the search insert counters mid-chain, not only
     # at the bottom, so the kept fit mask is updated from both neighbours.
-    import random
-
     for d in (5, 10, 20, 30, 40):
         for seed in range(3):
             perm = list(range(2 * d + 1))
@@ -176,3 +175,65 @@ def test_top_cycle_is_strongly_connected_and_dominant():
         for x in tc:
             for y in outside:
                 assert t.dominates(x, y)
+
+
+def _compose(summary, parts):
+    """S(T1, ..., Tk): vertex i of ``summary`` replaced by the module ``parts[i]``.
+
+    Part i keeps its own labels shifted by ``offsets[i]``, the total order
+    of the parts before it.  Built on row masks, then passed through the
+    validating constructor.
+    """
+    offsets, total = [], 0
+    for part in parts:
+        offsets.append(total)
+        total += part.order
+    blocks = [((1 << part.order) - 1) << off for part, off in zip(parts, offsets)]
+    rows = []
+    for i, (part, off) in enumerate(zip(parts, offsets)):
+        beaten = sum(block for j, block in enumerate(blocks) if summary.dominates(i, j))
+        rows += [row << off | beaten for row in part.row_masks]
+    return Tournament([[row >> y & 1 for y in range(total)] for row in rows]), offsets
+
+
+def _seeded_composition(seed):
+    # The build and the order-61 deep chain, one to three random parts of
+    # order 1-8 (more while the total is below 100), all in shuffled places
+    # of a random summary
+    rng = random.Random(seed)
+    parts = [build_t36(), _deep_chain(30)]
+    for _ in range(rng.randrange(1, 4)):
+        parts.append(random_tournament(rng.randrange(1, 9), rng.getrandbits(32)))
+    while sum(part.order for part in parts) < 100:
+        parts.append(random_tournament(rng.randrange(1, 9), rng.getrandbits(32)))
+    rng.shuffle(parts)
+    summary = random_tournament(len(parts), rng.getrandbits(32))
+    t, offsets = _compose(summary, parts)
+    assert t.order >= 100
+    return t, summary, parts, offsets
+
+
+def _through_the_parts(rule, summary, parts, offsets):
+    # the union over i in f(S) of f(Ti), each shifted to its place in T
+    return {offsets[i] + v for i in rule(summary) for v in rule(parts[i])}
+
+
+def _bipartisan_support(t):
+    return bipartisan_set(t)[0]
+
+
+@pytest.mark.parametrize("rule", [uncovered_set, banks_set, _bipartisan_support],
+                         ids=["uc", "banks", "bp"])
+def test_composition_consistent_rules_choose_through_the_parts(rule):
+    # Laffond, Laslier and Le Breton: f(S(T1, ..., Tk)) is the union of
+    # the f(Ti) over i in f(S); checked where the oracles cannot reach
+    for seed in range(8):
+        t, summary, parts, offsets = _seeded_composition(seed)
+        assert rule(t) == _through_the_parts(rule, summary, parts, offsets), seed
+
+
+@pytest.mark.parametrize("rule", [copeland_set, top_cycle], ids=["copeland", "tc"])
+def test_copeland_and_top_cycle_break_the_composition_identity(rule):
+    # negative control: the identity above is able to fail on these inputs
+    t, summary, parts, offsets = _seeded_composition(1)
+    assert rule(t) != _through_the_parts(rule, summary, parts, offsets)
