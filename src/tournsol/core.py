@@ -29,6 +29,22 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+def _row_defects(rows: Sequence[int]):
+    """Yield (x, y, message) for each way ``rows`` fail to be a tournament.
+
+    For each x ascending: (x, x) if x dominates itself, then each pair
+    (x, y), y > x ascending, that is decided in both directions or in
+    neither.  Every check of the tournament invariant runs through here.
+    """
+    for x, row in enumerate(rows):
+        if row >> x & 1:
+            yield x, x, f"alternative {x} marked as dominating itself"
+        for y in range(x + 1, len(rows)):
+            if (row >> y & 1) == (rows[y] >> x & 1):
+                claim = "dominated in both directions" if row >> y & 1 else "left undecided"
+                yield x, y, f"pair ({x}, {y}) {claim}"
+
+
 class Tournament:
     """Complete asymmetric dominance structure on 0..n-1.
 
@@ -54,16 +70,8 @@ class Tournament:
                 if cell:
                     mask |= 1 << y
             rows.append(mask)
-        for x in range(n):
-            if rows[x] >> x & 1:
-                raise ValueError(f"alternative {x} marked as dominating itself")
-            for y in range(x + 1, n):
-                a = rows[x] >> y & 1
-                b = rows[y] >> x & 1
-                if a and b:
-                    raise ValueError(f"pair ({x}, {y}) dominated in both directions")
-                if not a and not b:
-                    raise ValueError(f"pair ({x}, {y}) left undecided")
+        for _, _, message in _row_defects(rows):
+            raise ValueError(message)
         self._store(n, rows)
 
     def _store(self, n: int, rows: Sequence[int]) -> None:
@@ -153,9 +161,6 @@ class Tournament:
                 mask |= 1 << perm[y]
             rows[perm[x]] = mask
         return Tournament._from_masks(n, rows)
-
-    def to_rows(self) -> list[list[int]]:
-        return [[self._rows[x] >> y & 1 for y in range(self._n)] for x in range(self._n)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tournament):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import sys
 
-from .core import Tournament, iter_bits
+from .core import Tournament, _row_defects, iter_bits
 
 __all__ = [
     "InvariantError",
@@ -68,7 +68,7 @@ def parse_tournament(text: str) -> Tournament:
         raise ParseError(
             f"expected {n} matrix rows, found {len(lines) - 1}", n + 2, 1
         )
-    matrix = []
+    rows = []
     for x, row in enumerate(lines[1:]):
         if len(row) != n:
             raise ParseError(
@@ -76,16 +76,14 @@ def parse_tournament(text: str) -> Tournament:
                 x + 2,
                 min(len(row), n) + 1,
             )
-        cells = []
-        for y, ch in enumerate(row):
-            if ch not in "01":
-                raise ParseError(f"invalid character {ch!r}", x + 2, y + 1)
-            cells.append(ch == "1")
-        matrix.append(cells)
-    try:
-        return Tournament(matrix)
-    except ValueError as exc:
-        raise InvariantError(str(exc)) from None
+        bad = row.lstrip("01")
+        if bad:
+            raise ParseError(f"invalid character {bad[0]!r}", x + 2, n - len(bad) + 1)
+        # column y is bit y; the int digit limit does not apply to base 2
+        rows.append(int(row[::-1], 2))
+    for _, _, message in _row_defects(rows):
+        raise InvariantError(message)
+    return Tournament._from_masks(n, rows)
 
 
 def format_tournament(t: Tournament) -> str:

@@ -33,7 +33,7 @@ import random
 from functools import lru_cache
 from collections.abc import Iterable, Mapping, Sequence
 
-from .core import Tournament, is_automorphism, iter_bits, maximal_transitive_subsets
+from .core import Tournament, _row_defects, is_automorphism, iter_bits, maximal_transitive_subsets
 from .games import equilibrium_slacks
 from .solutions import banks_set, bipartisan_set, copeland_set
 
@@ -308,13 +308,7 @@ _SPOILERS = (
 
 
 def _check_validity(t: Tournament) -> dict:
-    bad = []
-    for x in range(t.order):
-        if t.dominates(x, x):
-            bad.append((x, x))
-        for y in range(x + 1, t.order):
-            if t.dominates(x, y) == t.dominates(y, x):
-                bad.append((x, y))
+    bad = [(x, y) for x, y, _ in _row_defects(t.row_masks)]
     return _result("validity", not bad, {"undecided_or_double": bad})
 
 

@@ -32,8 +32,8 @@ def oracle_labeled(n: int):
 
 
 def oracle_copeland_set(t: Tournament) -> frozenset[int]:
-    rows = t.to_rows()
-    scores = [sum(row) for row in rows]
+    matrix = [[int(t.dominates(x, y)) for y in range(t.order)] for x in range(t.order)]
+    scores = [sum(row) for row in matrix]
     best = max(scores)
     return frozenset(x for x in range(t.order) if scores[x] == best)
 
@@ -150,6 +150,32 @@ def oracle_uncovered_set(t: Tournament) -> frozenset[int]:
         if not covered:
             uncovered.add(x)
     return frozenset(uncovered)
+
+
+def oracle_is_prime(t: Tournament) -> bool:
+    """True iff the only modules are the singletons and the whole carrier.
+
+    A module is a set that every outside vertex beats entirely or loses to
+    entirely.  The smallest module holding a pair is its closure under
+    adding each outside vertex that beats some members and loses to
+    others, so the tournament is prime iff every such closure is everyone.
+    """
+    n = t.order
+    for pair in combinations(range(n), 2):
+        members = set(pair)
+        grown = True
+        while grown:
+            grown = False
+            for v in range(n):
+                if v in members:
+                    continue
+                beats = [t.dominates(v, m) for m in members]
+                if any(beats) and not all(beats):
+                    members.add(v)
+                    grown = True
+        if len(members) < n:
+            return False
+    return True
 
 
 def _solve_unique(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:

@@ -21,22 +21,35 @@ CYCLE3 = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
 
 
 def test_rejects_self_dominance():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^alternative 0 marked as dominating itself$"):
         Tournament([[1, 1], [0, 0]])
 
 
 def test_rejects_undecided_pair():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^pair \(0, 1\) left undecided$"):
         Tournament([[0, 0], [0, 0]])
 
 
 def test_rejects_double_dominance():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^pair \(0, 1\) dominated in both directions$"):
         Tournament([[0, 1], [1, 0]])
 
 
+def test_names_the_first_defect_in_checking_order():
+    # x ascending; for each x its self-dominance, then its pairs (x, y), y > x
+    cases = [
+        ([[0, 1, 0], [0, 1, 1], [0, 0, 0]], "pair (0, 2) left undecided"),
+        ([[0, 1, 1], [0, 1, 1], [1, 0, 0]], "pair (0, 2) dominated in both directions"),
+        ([[0, 1, 1], [0, 1, 0], [0, 0, 0]], "alternative 1 marked as dominating itself"),
+    ]
+    for matrix, message in cases:
+        with pytest.raises(ValueError) as err:
+            Tournament(matrix)
+        assert str(err.value) == message
+
+
 def test_rejects_ragged_matrix():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^row 1 has length 1, expected 2$"):
         Tournament([[0, 1], [0]])
 
 
@@ -68,7 +81,7 @@ def test_dominion_and_dominators_partition_everyone_else():
     # the class walk's extensions, restriction and relabelling
     randoms = [random_tournament(2 + seed % 9, seed) for seed in range(25)]
     built = list(randoms)
-    built += [Tournament(t.to_rows()) for t in randoms]
+    built += [Tournament(_matrix(t)) for t in randoms]
     built += [t for n in range(1, 5) for t in oracle_labeled(n)]
     built += [e for t in randoms[:5] for e in _extensions(t)]
     built += [t.restrict(range(0, t.order, 2))[0] for t in randoms]
@@ -91,10 +104,14 @@ def test_copeland_scores_sum_to_pair_count():
         assert sum(t.copeland_scores()) == n * (n - 1) // 2
 
 
-def test_to_rows_round_trip():
+def _matrix(t):
+    return [[mask >> y & 1 for y in range(t.order)] for mask in t.row_masks]
+
+
+def test_row_masks_round_trip():
     for seed in range(10):
         t = random_tournament(6, seed)
-        assert Tournament(t.to_rows()) == t
+        assert Tournament(_matrix(t)).row_masks == t.row_masks
 
 
 def test_restrict_preserves_edges():

@@ -106,12 +106,37 @@ def test_read_reports_non_ascii_bytes_by_position(tmp_path):
 
 
 def test_parse_rejects_broken_relations():
-    with pytest.raises(InvariantError):
-        parse_tournament("2\n10\n00\n")  # self-dominance
-    with pytest.raises(InvariantError):
-        parse_tournament("2\n01\n10\n")  # double dominance
-    with pytest.raises(InvariantError):
-        parse_tournament("2\n00\n00\n")  # undecided pair
+    # the constructor's messages, first defect in the same checking order
+    cases = [
+        ("2\n10\n00\n", "alternative 0 marked as dominating itself"),
+        ("2\n01\n10\n", "pair (0, 1) dominated in both directions"),
+        ("2\n00\n00\n", "pair (0, 1) left undecided"),
+        ("3\n010\n011\n000\n", "pair (0, 2) left undecided"),
+        ("3\n011\n011\n100\n", "pair (0, 2) dominated in both directions"),
+        ("3\n011\n010\n000\n", "alternative 1 marked as dominating itself"),
+    ]
+    for text, message in cases:
+        with pytest.raises(InvariantError) as err:
+            parse_tournament(text)
+        assert str(err.value) == message, text
+
+
+def test_parse_reports_the_first_invalid_character_of_a_row():
+    with pytest.raises(ParseError) as err:
+        parse_tournament("3\n011\n0xy\n1z0\n")
+    assert str(err.value) == "line 3, column 2: invalid character 'x'"
+
+
+def test_parse_of_wide_rows_ignores_the_int_digit_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int digit limit")
+    text = format_tournament(random_tournament(700, 700))
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert format_tournament(parse_tournament(text)) == text
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_parse_errors_are_value_errors():

@@ -19,12 +19,14 @@ from tournsol import (
     top_cycle,
     uncovered_set,
 )
+from tournsol.search import _certified_class_walk
 
 from oracles import (
     oracle_banks_set,
     oracle_banks_witness,
     oracle_bipartisan,
     oracle_copeland_set,
+    oracle_is_prime,
     oracle_top_cycle,
     oracle_uncovered_set,
 )
@@ -91,6 +93,22 @@ def test_inclusion_chain():
         assert bp <= uc
         assert co <= uc
         assert ba and uc and tc and bp and co
+
+
+@pytest.fixture(scope="module")
+def classes_to_order_7():
+    # one certified walk: every isomorphism class of order 1-7, 532 in all
+    return {order: reps for order, reps, _ in _certified_class_walk(7)}
+
+
+def test_inclusions_hold_on_every_class_to_order_7(classes_to_order_7):
+    for reps in classes_to_order_7.values():
+        for t in reps:
+            uc = uncovered_set(t)
+            assert copeland_set(t) <= uc
+            assert banks_set(t) <= uc
+            assert bipartisan_set(t)[0] <= uc
+            assert uc <= top_cycle(t)
 
 
 def test_banks_witness_contract():
@@ -237,3 +255,20 @@ def test_copeland_and_top_cycle_break_the_composition_identity(rule):
     # negative control: the identity above is able to fail on these inputs
     t, summary, parts, offsets = _seeded_composition(1)
     assert rule(t) != _through_the_parts(rule, summary, parts, offsets)
+
+
+def test_a_composition_with_a_part_of_order_two_or_more_is_not_prime():
+    # the part's vertices form a module that is neither a singleton nor everyone
+    t, _ = _compose(CYCLE3, [CHAIN4, CYCLE3, Tournament([[0]])])
+    assert t.order == 8
+    assert not oracle_is_prime(t)
+
+
+def test_prime_classes_to_order_7(classes_to_order_7):
+    # prime: no module but the singletons and the whole set.  A smallest
+    # separator of two composition-consistent rules is prime (README).
+    counts = {
+        n: (sum(map(oracle_is_prime, classes_to_order_7[n])), len(classes_to_order_7[n]))
+        for n in (5, 6, 7)
+    }
+    assert counts == {5: (3, 12), 6: (15, 56), 7: (197, 456)}

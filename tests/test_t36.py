@@ -7,6 +7,7 @@ import pytest
 
 from tournsol import (
     CENTER,
+    Tournament,
     build_t36,
     build_t36_variant,
     classify,
@@ -23,6 +24,8 @@ from tournsol import (
     vertex_label,
 )
 from tournsol.t36 import CYCLIC_ORIENTATION, OUTER_TRIANGLES, block, triangle
+
+from oracles import oracle_is_prime
 
 
 def test_vertex_numbering_round_trip():
@@ -171,6 +174,24 @@ def test_verify_fails_on_unrelated_tournament():
     assert report["mode"] == "general"
     assert not report["overall_pass"]
     assert any(c["status"] == "fail" for c in report["checks"])
+
+
+def test_verify_names_the_pair_of_a_broken_build():
+    rows = list(build_t36().row_masks)
+    rows[0] &= ~(1 << 9)
+    rows[9] &= ~(1 << 0)
+    report = verify_t36(Tournament._from_masks(36, rows))
+    validity = report["checks"][0]
+    assert validity["name"] == "validity"
+    assert validity["status"] == "fail"
+    assert validity["details"] == {"undecided_or_double": [(0, 9)]}
+    assert not report["overall_pass"]
+
+
+def test_build_and_variants_are_prime():
+    # no module collapse gives a smaller tournament with the same separation
+    for t in [build_t36()] + [build_t36_variant(random_orientations(s)) for s in (1, 2, 3)]:
+        assert oracle_is_prime(t)
 
 
 def test_verify_rejects_wrong_order():
