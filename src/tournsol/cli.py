@@ -252,7 +252,7 @@ def _cmd_scan(args) -> int:
             sample_count=args.samples if args.samples is not None else 1000,
             seed=args.seed if args.seed is not None else 0,
         )
-    except (OverflowError, MemoryError):  # exhaustive orders stop at 8
+    except (OverflowError, MemoryError):  # a random scan with a huge --max-order
         raise ValueError(f"--max-order {args.max_order} is too large to build") from None
     for order, count in outcome.examined.items():
         if outcome.labeled_counts is not None:

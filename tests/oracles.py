@@ -4,7 +4,8 @@ Everything here works straight from definitions, with no shared code
 paths: subsets are enumerated outright, transitivity is checked over all
 triples, the equilibrium lottery is found by solving exact linear
 systems over every odd support, the canonical form is the minimum over
-every relabelling.  Deliberately slow, deliberately dumb.  Two are second
+every relabelling, a permutation group is every product of its
+generators.  Deliberately slow, deliberately dumb.  Two are second
 implementations of a library algorithm instead, kept to pin its exact
 output: the Banks witness search and the full-width phase-1 simplex.
 Nothing but ``Tournament`` is imported from the library.
@@ -176,6 +177,30 @@ def oracle_is_prime(t: Tournament) -> bool:
         if len(members) < n:
             return False
     return True
+
+
+def oracle_group(perms, n: int, limit: int = 10_000) -> set[tuple[int, ...]]:
+    """Every permutation of 0..n-1 that a product of the given ones makes.
+
+    Breadth-first closure from the identity: compose each element found
+    with every generator until no new element appears.  Works on plain
+    tuples; the identity is always in the group.  A group larger than
+    ``limit`` raises AssertionError instead of filling memory.
+    """
+    gens = [tuple(p) for p in perms]
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for h in gens:
+                product_gh = tuple(h[g[v]] for v in range(n))
+                if product_gh not in group:
+                    group.add(product_gh)
+                    fresh.append(product_gh)
+                    assert len(group) <= limit, f"group larger than {limit}"
+        frontier = fresh
+    return group
 
 
 def _solve_unique(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -25,7 +26,8 @@ from tournsol import (
 )
 from tournsol.t36 import CYCLIC_ORIENTATION, OUTER_TRIANGLES, block, triangle
 
-from oracles import oracle_is_prime
+from oracles import oracle_group, oracle_is_prime
+from test_search import cyclic_tournament
 
 
 def test_vertex_numbering_round_trip():
@@ -80,6 +82,54 @@ def test_rotation_and_twist_values():
     assert rot[0] == 3 and rot[27] == 9
     tw = twist(1)
     assert tw[0] == 1 and tw[18] == 19 and tw[27] == 30
+    whole = repr((rotation(), twist(1), twist(2), twist(3))).encode("ascii")
+    assert hashlib.sha256(whole).hexdigest() == (
+        "1b2731cf697d510957e9ccdf76a9f2e1b6becabd1b3282f2837af0c88fdad292")
+
+
+def cycle_type(perm):
+    """Sorted cycle lengths of a permutation."""
+    seen, lengths = set(), []
+    for start in range(len(perm)):
+        length, v = 0, start
+        while v not in seen:
+            seen.add(v)
+            v = perm[v]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def test_symmetry_group_order_and_cycle_types():
+    group = oracle_group(symmetry_generators(), 36)
+    assert len(group) == 81
+    assert Counter(cycle_type(g) for g in group) == {
+        (1,) * 36: 1,
+        (9,) * 4: 36,
+        (3,) * 12: 26,
+        (1,) * 3 + (3,) * 11: 12,
+        (1,) * 15 + (3,) * 7: 6,
+    }
+
+
+def orbits_of_group(perms, n):
+    group = oracle_group(perms, n)
+    parts = {frozenset(g[v] for g in group) for v in range(n)}
+    return tuple(sorted(parts, key=min))
+
+
+def test_orbits_match_the_oracle():
+    t = build_t36()
+    gens = symmetry_generators()
+    for chosen in [gens] + [[g] for g in gens]:
+        assert orbits(t, chosen) == orbits_of_group(chosen, 36)
+    cycle3 = Tournament([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    assert orbits(cycle3, [(1, 2, 0)]) == orbits_of_group([(1, 2, 0)], 3)
+    for n in (5, 7, 9):
+        shift = tuple((i + 1) % n for i in range(n))
+        parts = orbits(cyclic_tournament(n), [shift])
+        assert parts == orbits_of_group([shift], n) == (frozenset(range(n)),)
 
 
 def test_twist_rejects_bad_sector():
@@ -93,6 +143,7 @@ def test_orbits_split_center_from_rest():
     t = build_t36()
     parts = orbits(t, symmetry_generators())
     assert parts == (CENTER, frozenset(range(9, 36)))
+    assert orbits(t, (g for g in symmetry_generators())) == parts  # a one-shot iterator
 
 
 def test_orbits_rejects_non_automorphism():
@@ -101,6 +152,8 @@ def test_orbits_rejects_non_automorphism():
     broken[0], broken[9] = broken[9], broken[0]
     with pytest.raises(ValueError):
         orbits(t, [tuple(broken)])
+    with pytest.raises(ValueError, match="^generator 1 is not an automorphism$"):
+        orbits(t, [rotation(), tuple(broken)])
 
 
 def test_classify():
