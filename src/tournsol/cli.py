@@ -3,7 +3,8 @@
 Exit codes: 0 on success (and on a passing verification or a witness-free
 scan), 1 when a verification fails or a scan finds a separation witness,
 2 on usage errors, malformed input files, unreadable paths and orders
-too large to build.
+too large to build.  An exit-2 run prints nothing on stdout and, on
+stderr, argparse's usage text or the one ``error:`` line ``main`` writes.
 """
 
 from __future__ import annotations
@@ -196,8 +197,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     if args.witness and args.rule != "banks":
-        print("error: --witness applies only to --rule banks", file=sys.stderr)
-        return 2
+        raise ValueError("--witness applies only to --rule banks")
     t = _read(args.file)
     labeled = t36.classify(t) is not None
     if args.rule == "bp":
@@ -220,6 +220,12 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     t = _read(args.file) if args.file is not None else t36.build_t36()
     report = t36.verify_t36(t)
+    if args.report is not None:
+        import json
+
+        with open(args.report, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
     for check in report["checks"]:
         if check["status"] == "skipped":
             print(f"SKIP {check['name']} ({check['details']['reason']})")
@@ -229,23 +235,15 @@ def _cmd_verify(args) -> int:
     print(f"result: {'PASS' if report['overall_pass'] else 'FAIL'} "
           f"({statuses.count('pass')} passed, {statuses.count('fail')} failed, "
           f"{statuses.count('skipped')} skipped, mode={report['mode']})")
-    if args.report is not None:
-        import json
-
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
     return 0 if report["overall_pass"] else 1
 
 
 def _cmd_scan(args) -> int:
     rules = tuple(part.strip() for part in args.rules.split(","))
     if len(rules) != 2 or not all(rules):
-        print("error: --rules expects two comma-separated rule names", file=sys.stderr)
-        return 2
+        raise ValueError("--rules expects two comma-separated rule names")
     if args.mode == "exhaustive" and (args.samples is not None or args.seed is not None):
-        print("error: --samples/--seed apply only to --mode random", file=sys.stderr)
-        return 2
+        raise ValueError("--samples/--seed apply only to --mode random")
     try:
         outcome = scan_separation(
             rules, args.max_order, args.mode,  # type: ignore[arg-type]
@@ -284,9 +282,8 @@ def _cmd_export_dot(args) -> int:
 def _cmd_orbits(args) -> int:
     t = _read(args.file)
     if t36.classify(t) != "canonical":
-        print("error: orbits requires the bundled order-36 tournament "
-              "(gen paper36 without --variant-seed)", file=sys.stderr)
-        return 2
+        raise ValueError("orbits requires the bundled order-36 tournament "
+                         "(gen paper36 without --variant-seed)")
     parts = t36.orbits(t, t36.symmetry_generators())
     for idx, part in enumerate(parts, start=1):
         members = " ".join(str(v) for v in sorted(part))
@@ -315,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
             return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    # ParseError and InvariantError are ValueErrors.
+    # The handlers' own checks, ParseError and InvariantError are ValueErrors.
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -60,14 +60,10 @@ def parse_tournament(text: str) -> Tournament:
         raise ParseError(f"order has {len(header)} digits, more than {limit}", 1, 1) from None
     if n < 1:
         raise ParseError("order must be at least 1", 1, 1)
-    if len(lines) - 1 < n:
-        raise ParseError(
-            f"expected {n} matrix rows, found {len(lines) - 1}", len(lines) + 1, 1
-        )
-    if len(lines) - 1 > n:
-        raise ParseError(
-            f"expected {n} matrix rows, found {len(lines) - 1}", n + 2, 1
-        )
+    if len(lines) - 1 != n:
+        # the line after the header and the first min(found, n) rows
+        raise ParseError(f"expected {n} matrix rows, found {len(lines) - 1}",
+                         min(len(lines), n + 1) + 1, 1)
     rows = []
     for x, row in enumerate(lines[1:]):
         if len(row) != n:

@@ -146,9 +146,8 @@ def test_solve_banks_witness(tmp_path, capsys):
 def test_witness_flag_rejected_outside_banks(tmp_path, capsys):
     path = tmp_path / "r.txt"
     path.write_text(format_tournament(random_tournament(5, 1)))
-    code, _, err = run(capsys, "solve", str(path), "--rule", "uc", "--witness")
-    assert code == 2
-    assert "witness" in err
+    assert run(capsys, "solve", str(path), "--rule", "uc", "--witness") == (
+        2, "", "error: --witness applies only to --rule banks\n")
 
 
 def test_solve_unknown_rule_is_usage_error(tmp_path, capsys):
@@ -290,12 +289,13 @@ def test_scan_witness_exits_one(monkeypatch, capsys):
 
 
 def test_scan_usage_errors(capsys):
-    code, _, err = run(capsys, "scan", "--rules", "banks", "--max-order", "5",
-                       "--mode", "exhaustive")
-    assert code == 2 and "two comma-separated" in err
-    code, _, err = run(capsys, "scan", "--rules", "banks,bp", "--max-order", "5",
-                       "--mode", "exhaustive", "--samples", "10")
-    assert code == 2 and "random" in err
+    for rules in ("banks", "banks,bp,uc"):
+        assert run(capsys, "scan", "--rules", rules, "--max-order", "5",
+                   "--mode", "exhaustive") == (
+            2, "", "error: --rules expects two comma-separated rule names\n")
+    assert run(capsys, "scan", "--rules", "banks,bp", "--max-order", "5",
+               "--mode", "exhaustive", "--samples", "10") == (
+        2, "", "error: --samples/--seed apply only to --mode random\n")
     code, _, _ = run(capsys, "scan", "--rules", "banks,nope", "--max-order", "5",
                      "--mode", "exhaustive")
     assert code == 2
@@ -352,6 +352,23 @@ def test_overlong_header_is_a_parse_error(tmp_path, capsys):
     assert err == "error: line 1, column 1: order has 5000 digits, more than 4300\n"
 
 
+@pytest.mark.parametrize("text, err", [
+    ("3\n011\n001\n", "error: line 4, column 1: expected 3 matrix rows, found 2\n"),
+    ("2\n01\n00\n00\n", "error: line 4, column 1: expected 2 matrix rows, found 3\n"),
+    ("2\n01\n00\n\n", "error: line 4, column 1: expected 2 matrix rows, found 3\n"),
+], ids=["missing-row", "extra-row", "trailing-empty-line"])
+def test_row_count_errors_are_pinned(tmp_path, capsys, text, err):
+    path = tmp_path / "t.txt"
+    path.write_text(text)
+    assert run(capsys, "solve", str(path), "--rule", "tc") == (2, "", err)
+
+
+def test_unwritable_report_prints_no_check_lines(tmp_path, capsys):
+    report = tmp_path / "missing" / "r.json"
+    assert run(capsys, "verify-paper", "--report", str(report)) == (
+        2, "", f"error: [Errno 2] No such file or directory: '{report}'\n")
+
+
 def test_export_dot_labeled(tmp_path, capsys):
     src = tmp_path / "t.txt"
     dot = tmp_path / "t.dot"
@@ -399,9 +416,12 @@ def test_orbits_on_canonical(tmp_path, capsys):
 def test_orbits_rejects_other_tournaments(tmp_path, capsys):
     src = tmp_path / "r.txt"
     src.write_text(format_tournament(random_tournament(36, 2)))
-    code, _, err = run(capsys, "orbits", str(src))
-    assert code == 2
-    assert "paper36" in err
+    variant = tmp_path / "v3.txt"
+    assert run(capsys, "gen", "paper36", "--variant-seed", "3", "-o", str(variant))[0] == 0
+    for path in (src, variant):
+        assert run(capsys, "orbits", str(path)) == (
+            2, "", "error: orbits requires the bundled order-36 tournament "
+                   "(gen paper36 without --variant-seed)\n")
 
 
 def test_no_subcommand_is_usage_error(capsys):

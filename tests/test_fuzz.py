@@ -75,6 +75,8 @@ def test_solve_exits_zero_or_two_on_any_file(data, rule):
         os.remove(path)
     assert code in (0, 2)
     assert (code == 2) == err.getvalue().startswith("error: ")
+    if code == 2:
+        assert out.getvalue() == ""
 
 
 # Argument vectors drawn from the command table: plain ones, which the

@@ -250,6 +250,22 @@ def test_composition_consistent_rules_choose_through_the_parts(rule):
         assert rule(t) == _through_the_parts(rule, summary, parts, offsets), seed
 
 
+@pytest.mark.parametrize("vertex", [0, 20], ids=["center", "outer"])
+def test_substituting_into_the_build_keeps_it_a_separator(vertex):
+    # Banks and BP are composition-consistent, so the orders with a
+    # separator run from the smallest one upwards without a gap
+    summary = build_t36()
+    for k in range(1, 9):
+        parts = [random_tournament(k, k) if v == vertex else Tournament([[0]])
+                 for v in range(36)]
+        t, offsets = _compose(summary, parts)
+        banks = banks_set(t)
+        bp = _bipartisan_support(t)
+        assert not banks & bp, k
+        assert banks == _through_the_parts(banks_set, summary, parts, offsets), k
+        assert bp == _through_the_parts(_bipartisan_support, summary, parts, offsets), k
+
+
 @pytest.mark.parametrize("rule", [copeland_set, top_cycle], ids=["copeland", "tc"])
 def test_copeland_and_top_cycle_break_the_composition_identity(rule):
     # negative control: the identity above is able to fail on these inputs

@@ -241,6 +241,31 @@ def test_verify_names_the_pair_of_a_broken_build():
     assert not report["overall_pass"]
 
 
+def test_verify_tests_each_symmetry_generator_once(monkeypatch):
+    calls = []
+    apply = Tournament.apply_permutation
+    monkeypatch.setattr(Tournament, "apply_permutation",
+                        lambda t, perm: calls.append(perm) or apply(t, perm))
+    assert verify_t36(build_t36())["overall_pass"]
+    assert len(calls) == 4
+
+
+def _symmetry_check(report):
+    return next(c for c in report["checks"] if c["name"] == "symmetry_orbits")
+
+
+def test_symmetry_check_names_the_generators_that_fail():
+    # reversing center triangle {0, 1, 2} breaks only the rotation
+    rows = [row ^ (0b111 & ~(1 << x)) if x < 3 else row
+            for x, row in enumerate(build_t36().row_masks)]
+    report = verify_t36(Tournament._from_masks(36, rows))
+    assert report["mode"] == "general"
+    assert _symmetry_check(report) == {"name": "symmetry_orbits", "status": "fail",
+                                       "details": {"non_automorphisms": ["rotation"]}}
+    assert _symmetry_check(verify_t36(random_tournament(36, 2)))["details"] == {
+        "non_automorphisms": ["rotation", "twist1", "twist2", "twist3"]}
+
+
 def test_build_and_variants_are_prime():
     # no module collapse gives a smaller tournament with the same separation
     for t in [build_t36()] + [build_t36_variant(random_orientations(s)) for s in (1, 2, 3)]:
