@@ -187,6 +187,8 @@ def _cmd_gen(args) -> int:
         else:
             t = t36.build_t36_variant(t36.random_orientations(args.variant_seed))
     else:
+        if args.n < 1:
+            raise ValueError(f"--n {args.n} must be at least 1")
         try:
             t = random_tournament(args.n, args.seed)
         except (OverflowError, MemoryError):  # no list of rows that long
@@ -244,6 +246,8 @@ def _cmd_scan(args) -> int:
         raise ValueError("--rules expects two comma-separated rule names")
     if args.mode == "exhaustive" and (args.samples is not None or args.seed is not None):
         raise ValueError("--samples/--seed apply only to --mode random")
+    if args.max_order < 1:
+        raise ValueError(f"--max-order {args.max_order} must be at least 1")
     try:
         outcome = scan_separation(
             rules, args.max_order, args.mode,  # type: ignore[arg-type]

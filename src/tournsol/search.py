@@ -19,7 +19,7 @@ import random
 from collections import namedtuple
 from math import factorial
 
-from .core import Tournament, iter_bits
+from .core import Tournament
 from .solutions import banks_set, bipartisan_set, copeland_set, top_cycle, uncovered_set
 
 __all__ = [
@@ -104,9 +104,10 @@ def canonical_form(t: Tournament) -> bytes:
       for every first-class vertex, so only those whose row is smallest
       may come next.
 
-    Only vertices with equal rows branch, and a branch is cut once its
-    rows exceed those of the best encoding found so far.  The encoding
-    is held as an int and written out once at the end.
+    One pass over the classes gives each candidate's row and the classes
+    it would leave.  Only vertices with equal rows branch, and a branch
+    is cut once its rows exceed those of the best encoding found so far.
+    The encoding is held as an int and written out once at the end.
     """
     n = t.order
     if n > _CANONICAL_CAP:
@@ -122,30 +123,27 @@ def canonical_form(t: Tournament) -> bytes:
             best = enc
             return
         first, first_bits = cells[0]
-        least, ties = None, []
-        for v in range(n):
-            if first >> v & 1:
-                row, others = 0, ~(1 << v)
-                for members, _ in cells:
-                    members &= others
-                    wins = (rows[v] & members).bit_count()
-                    row = row << members.bit_count() | ((1 << wins) - 1)
-                if least is None or row < least:
-                    least, ties = row, [v]
-                elif row == least:
-                    ties.append(v)
-        enc = enc << n | first_bits << (n - pos) | least
-        if enc > best >> n * (n - pos - 1):
-            return
-        for v in ties:
-            split = []
+        least, splits = 1 << n, []  # a row has fewer than n bits
+        while first:
+            v = first & -first
+            first ^= v
+            row_v, row, split = rows[v.bit_length() - 1], 0, []
             for members, bits in cells:
-                members &= ~(1 << v)
-                beaten = members & rows[v]
+                members &= ~v
+                beaten = members & row_v
+                row = row << members.bit_count() | ((1 << beaten.bit_count()) - 1)
                 if members != beaten:
                     split.append((members ^ beaten, bits << 1 | 1))
                 if beaten:
                     split.append((beaten, bits << 1))
+            if row < least:
+                least, splits = row, [split]
+            elif row == least:
+                splits.append(split)
+        enc = enc << n | first_bits << (n - pos) | least
+        if enc > best >> n * (n - pos - 1):
+            return
+        for split in splits:
             descend(pos + 1, enc, split)
 
     descend(0, 0, [((1 << n) - 1, 0)])
@@ -188,12 +186,10 @@ def automorphism_count(t: Tournament) -> int:
 def _extensions(t: Tournament):
     """All tournaments obtained by appending one new alternative."""
     n = t.order
-    for mask in range(1 << n):
-        rows = list(t.row_masks)
+    bit_rows = [(1 << x, row) for x, row in enumerate(t.row_masks)]
+    for mask in range(1 << n):  # the new row: x beats the new one where bit x is clear
+        rows = [row if mask & bit else row | 1 << n for bit, row in bit_rows]
         rows.append(mask)
-        inverse = ~mask & ((1 << n) - 1)
-        for x in iter_bits(inverse):
-            rows[x] |= 1 << n
         yield Tournament._from_masks(n + 1, rows)
 
 

@@ -66,6 +66,12 @@ def test_gen_rejects_a_negative_seed(argv, capsys):
     assert err == f"error: seed must be nonnegative, got {argv[-1]}\n"
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_gen_rejects_an_order_below_one(n, capsys):
+    assert run(capsys, "gen", "random", "--n", n, "--seed", "1") == (
+        2, "", f"error: --n {n} must be at least 1\n")
+
+
 def test_gen_accepts_seed_zero(capsys):
     code, text, _ = run(capsys, "gen", "random", "--n", "6", "--seed", "0")
     assert code == 0
@@ -303,7 +309,9 @@ def test_scan_usage_errors(capsys):
                      "--mode", "exhaustive")
     assert code == 2  # above the exhaustive cap
     assert run(capsys, "scan", "--rules", "banks,bp", "--max-order", "0",
-               "--mode", "exhaustive") == (2, "", "error: order must be at least 1\n")
+               "--mode", "exhaustive") == (2, "", "error: --max-order 0 must be at least 1\n")
+    assert run(capsys, "scan", "--rules", "banks,bp", "--max-order", "0",
+               "--mode", "random") == (2, "", "error: --max-order 0 must be at least 1\n")
     assert run(capsys, "scan", "--rules", "banks,bp", "--max-order", "5",
                "--mode", "random", "--samples", "0") == (
         2, "", "error: random mode needs at least one sample\n")

@@ -19,7 +19,7 @@ from tournsol import (
     random_tournament,
     scan_separation,
 )
-from tournsol.search import resolve_rule, splitmix64
+from tournsol.search import _extensions, resolve_rule, splitmix64
 
 from oracles import oracle_canonical_form, oracle_labeled
 
@@ -76,6 +76,43 @@ def test_canonical_form_matches_the_oracle():
     for n in (6, 6, 6, 6, 7, 7):
         t = random_tournament(n, rng.getrandbits(32))
         assert canonical_form(t) == oracle_canonical_form(t)
+
+
+def quadratic_residue_tournament(p):
+    # x beats y when y - x is a nonzero square mod p (p prime, p = 3 mod 4)
+    squares = {x * x % p for x in range(1, p)}
+    return Tournament([[int((y - x) % p in squares) for y in range(p)] for x in range(p)])
+
+
+def test_canonical_form_matches_the_oracle_on_vertex_transitive_tournaments():
+    # vertex-transitive: every alternative ties at the first position
+    for t in (cyclic_tournament(3), cyclic_tournament(5), cyclic_tournament(7),
+              quadratic_residue_tournament(7)):
+        assert len({row.bit_count() for row in t.row_masks}) == 1
+        assert canonical_form(t) == oracle_canonical_form(t)
+
+
+def test_canonical_form_is_invariant_on_relabelled_cyclic_nine():
+    t = cyclic_tournament(9)
+    expected = canonical_form(t)
+    rng = random.Random(909)
+    for _ in range(20):
+        perm = list(range(9))
+        rng.shuffle(perm)
+        assert canonical_form(t.apply_permutation(perm)) == expected
+
+
+def test_extensions_append_every_row_in_mask_order():
+    for n in range(1, 6):
+        for r in isomorphism_class_representatives(n):
+            exts = list(_extensions(r))
+            assert len(exts) == 2 ** n
+            for mask, ext in enumerate(exts):
+                assert ext.order == n + 1
+                assert ext.row_masks[n] == mask
+                assert ext.restrict(range(n))[0].row_masks == r.row_masks
+                # old alternative x beats the new one exactly when bit x of mask is clear
+                assert all(ext.dominates(x, n) != bool(mask >> x & 1) for x in range(n))
 
 
 # sha256 of the forms joined by newlines, and the first 16 hex digits of
