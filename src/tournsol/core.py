@@ -140,15 +140,8 @@ class Tournament:
 
     def skew_adjacency(self) -> list[list[int]]:
         """Matrix with entry (x, y) = +1 if x dominates y, -1 if y dominates x."""
-        n = self._n
-        out = [[0] * n for _ in range(n)]
-        for x in range(n):
-            row = self._rows[x]
-            for y in range(n):
-                if row >> y & 1:
-                    out[x][y] = 1
-                    out[y][x] = -1
-        return out
+        rows = self._rows
+        return [[(r >> y & 1) - (s >> x & 1) for y, s in enumerate(rows)] for x, r in enumerate(rows)]
 
     def apply_permutation(self, perm: Sequence[int]) -> "Tournament":
         """Relabel alternatives: image dominates image exactly as the originals."""

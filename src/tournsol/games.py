@@ -23,10 +23,10 @@ falls back:
 3. Certify.  The lottery is returned only if that system has full rank,
    every weight on S is positive, the strategy passes the exact integer
    check that ``verify_equilibrium`` also runs (sum(v) = D, v >= 0 and
-   every slack sum_x v_x M[x][y] >= 0) and every slack off S is strictly
-   positive.  Full rank and strict complementarity prove that the
-   optimal strategy is unique, so the certified lottery is the one the
-   exact simplex would return.
+   every slack sum_x v_x M[x][y] >= 0) and exactly |S| slacks vanish,
+   those on S, which the system makes zero.  Full rank and strict
+   complementarity prove that the optimal strategy is unique, so the
+   certified lottery is the one the exact simplex would return.
 4. Fallback.  Otherwise the same phase-1 simplex runs over
    ``fractions.Fraction``, where Bland's rule (lowest-label improving
    nonbasic variable, ratio ties to the lowest basic label) prevents
@@ -218,27 +218,19 @@ def _certify(a: list[list[int]], support: list[int]) -> tuple[Fraction, ...] | N
     if solved is None:
         return None
     on_support, d = solved
-    if any(w <= 0 for w in on_support):
-        return None
-    n = len(a)
-    v = [0] * n
+    v = [0] * len(a)
     for x, vx in zip(support, on_support):
         v[x] = vx
     slacks = _integer_slacks(a, v)
-    if not _is_optimal(v, d, slacks):
-        return None
-    # Strict complementarity: any optimal q has its support where these
-    # slacks vanish, so inside ``support``, and then solves the same
-    # full-rank system; q is this lottery.
-    inside = set(support)
-    if any(s <= 0 for y, s in enumerate(slacks) if y not in inside):
+    # The support system makes the slacks on ``support`` vanish, so the count
+    # says every slack off it is positive (strict complementarity): any
+    # optimal q then has its support inside ``support`` and solves the same
+    # full-rank system, so q is this lottery.
+    if min(on_support) <= 0 or not _is_optimal(v, d, slacks) or slacks.count(0) != len(support):
         return None
     from fractions import Fraction
 
-    weights = [Fraction(0)] * n
-    for x, vx in zip(support, on_support):
-        weights[x] = Fraction(vx, d)
-    return tuple(weights)
+    return tuple(Fraction(x, d) for x in v)
 
 
 def _support_lottery(a: list[list[int]], support: list[int]) -> tuple[list[int], int] | None:

@@ -8,7 +8,8 @@ every relabelling, a permutation group is every product of its
 generators.  Deliberately slow, deliberately dumb.  Two are second
 implementations of a library algorithm instead, kept to pin its exact
 output: the Banks witness search and the full-width phase-1 simplex.
-Nothing but ``Tournament`` is imported from the library.
+Nothing but ``Tournament`` is imported from the library, and a
+tournament is read only through ``dominates`` and ``order``.
 """
 
 from __future__ import annotations
@@ -245,7 +246,10 @@ def oracle_bipartisan(t: Tournament) -> tuple[frozenset[int], tuple[Fraction, ..
     so exactly one candidate survives.
     """
     n = t.order
-    matrix = t.skew_adjacency()
+    matrix = [
+        [int(t.dominates(x, y)) - int(t.dominates(y, x)) for y in range(n)]
+        for x in range(n)
+    ]
     hits = []
     for size in range(1, n + 1, 2):
         for combo in combinations(range(n), size):

@@ -134,9 +134,10 @@ def test_restrict_rejects_foreign_members():
 
 
 def test_skew_adjacency_is_skew_symmetric():
-    for seed in range(10):
-        n = 3 + seed % 5
-        t = random_tournament(n, 300 + seed)
+    inputs = [random_tournament(3 + seed % 5, 300 + seed) for seed in range(10)]
+    inputs += [random_tournament(1, 1), random_tournament(2, 2), build_t36()]
+    for t in inputs:
+        n = t.order
         m = t.skew_adjacency()
         for x in range(n):
             assert m[x][x] == 0
